@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstabilityError
+from .errors import InstabilityError, SingularityError
 from .forward import ParticleSet, Trajectory
-from .potential import PotentialParams, pair_hessian_spectral_bound
+from .potential import PotentialParams, gradient_coef, pair_hessian_spectral_bound, pair_value
 
 logger = logging.getLogger(__name__)
 
@@ -94,8 +94,7 @@ def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams) ->
     """(1/n) * sum_i grad W(v - x_i) over the snapshot particles."""
     diff = v[None, :] - snap.positions
     q = np.einsum("ad,ad->a", diff, diff) + p.epsilon
-    coef = 1.0 - q ** (-(p.s + 2.0) / 2.0)
-    return coef @ diff / snap.n
+    return gradient_coef(q, p.s) @ diff / snap.n
 
 
 def augmented_forward_map(y: np.ndarray, snap: ParticleSet, gamma: float,
@@ -109,14 +108,8 @@ def _mean_potential(v: np.ndarray, snap: ParticleSet, p: PotentialParams) -> flo
     sq = np.einsum("ad,ad->a", diff, diff)
     q = sq + p.epsilon
     if np.any(q == 0.0):
-        from .errors import SingularityError
-
         raise SingularityError("objective evaluated at a particle with epsilon=0")
-    if p.s == 0:
-        w = 0.5 * sq - 0.5 * np.log(q)
-    else:
-        w = 0.5 * sq + 1.0 / (p.s * q ** (p.s / 2.0))
-    return float(w.sum()) / snap.n
+    return float(pair_value(sq, q, p.s).sum()) / snap.n
 
 
 def prox_objective(v, anchor, snap: ParticleSet, cfg: BackwardConfig,

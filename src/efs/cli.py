@@ -15,7 +15,7 @@ import numpy as np
 
 from . import persist, svg
 from .backward import BackwardConfig, run_backward
-from .datasets import LabeledPoints, gaussian_mixture, load_points, save_points, swiss_roll
+from .datasets import gaussian_mixture, load_points, save_points, swiss_roll
 from .errors import DegenerateEnclosureError, FormatError, InstabilityError, SingularityError
 from .forward import ParticleSet, Trajectory, run_forward
 from .metrics import energy_trace, mmd_squared, nn_novelty, uniformity_report
@@ -68,11 +68,6 @@ def resolve_exponent(args, config, d: int) -> float:
     return float(raw)
 
 
-def _load_particles(path) -> LabeledPoints:
-    lp = load_points(path)
-    return lp
-
-
 def _read_trajectory(path):
     blob = persist.read_efsb(path)
     traj = Trajectory(tuple(ParticleSet(a) for a in blob.snapshots),
@@ -102,7 +97,7 @@ def cmd_dataset(args, config) -> int:
 
 
 def cmd_forward(args, config) -> int:
-    lp = _load_particles(args.data)
+    lp = load_points(args.data)
     d = lp.points.d
     gamma = resolve(args, config, "gamma", required=True)
     if gamma <= 0:
@@ -172,13 +167,12 @@ def cmd_sample(args, config) -> int:
     mode = resolve(args, config, "mode", default="sphere", cast=str)
     snapshot_mode = resolve(args, config, "snapshot_mode", default="paper", cast=str)
     bwd = BackwardConfig(gamma=gamma, beta=beta, T=T, grad_tol=grad_tol)
-    threads = args.threads
 
     if mode == "interp" and args.i is not None:
         if args.j is None or args.steps is None:
             raise ValueError("--mode interp with --i needs --j and --steps")
         batch = interpolation_path(traj, args.i, args.j, args.steps, bwd,
-                                   snapshot_mode=snapshot_mode, threads=threads)
+                                   snapshot_mode=snapshot_mode)
     else:
         pipeline_mode = "interpolation" if mode == "interp" else mode
         seeds = _read_replay_seeds(args.replay) if args.replay else None
@@ -187,7 +181,7 @@ def cmd_sample(args, config) -> int:
         batch = generate_from_trajectory(
             traj, bwd, m, mode=pipeline_mode, seed=seed,
             snapshot_mode=snapshot_mode, use_ball=args.ball,
-            seeds=seeds, keep_paths=False, threads=threads)
+            seeds=seeds, keep_paths=False)
     _write_samples_csv(args.out, batch.generated, batch.seeds)
     if args.svg:
         first = traj.snapshots[0]
@@ -209,7 +203,7 @@ def cmd_metrics(args, config) -> int:
             idx = args.snapshot if args.snapshot is not None else len(blob.snapshots) - 1
             points = ParticleSet(blob.snapshots[idx])
         else:
-            points = _load_particles(args.points).points
+            points = load_points(args.points).points
         report = uniformity_report(points)
         print(f"radial_ks={report.radial_ks:.17g}")
         if report.angular_ks is not None:
@@ -217,16 +211,16 @@ def cmd_metrics(args, config) -> int:
         print(f"radius={report.enclosure.radius:.17g}")
         did = True
     if args.mmd:
-        a = _load_particles(args.mmd[0]).points
-        b = _load_particles(args.mmd[1]).points
+        a = load_points(args.mmd[0]).points
+        b = load_points(args.mmd[1]).points
         s = resolve(args, config, "s", default=1.0, cast=float)
         epsilon = resolve(args, config, "epsilon", default=1e-3)
         value = mmd_squared(a, b, PotentialParams(s=float(s), epsilon=epsilon))
         print(f"mmd2={value:.17g}")
         did = True
     if args.nn:
-        gen = _load_particles(args.nn[0]).points
-        train = _load_particles(args.nn[1]).points
+        gen = load_points(args.nn[0]).points
+        train = load_points(args.nn[1]).points
         min_nn, mean_nn, self_nn = nn_novelty(gen, train)
         print(f"min_nn={min_nn:.17g}")
         print(f"mean_nn={mean_nn:.17g}")
@@ -248,7 +242,7 @@ def cmd_roundtrip(args, config) -> int:
     snapshot_mode = resolve(args, config, "snapshot_mode", default="exact", cast=str)
     tol = resolve(args, config, "tol", default=5e-2)
     if args.data:
-        points = _load_particles(args.data).points
+        points = load_points(args.data).points
     else:
         n = resolve(args, config, "n", default=400, cast=int)
         points = gaussian_mixture(n, seed=seed).points
@@ -284,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--seed", help="RNG seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (EFS_THREADS as fallback); never changes results")
+                       help="accepted for compatibility and ignored; samples run one at a time")
 
     p = sub.add_parser("dataset", help="generate a synthetic dataset")
     common(p)

@@ -9,17 +9,17 @@ and one forward step moves every particle simultaneously (Jacobi update)
 from the old snapshot: ``x_i <- x_i - gamma * Delta_i``.  Pairwise work is
 blocked over rows so memory stays bounded at large n; each row's inner sum
 is a fixed-order numpy reduction over the full index range, so results are
-independent of block size and thread count.
+independent of block size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularityError
-from .potential import PotentialParams
+from .potential import PotentialParams, gradient_coef, pair_value
 
 # Rows per pairwise block; ~n * _BLOCK * d doubles live at once.
 _BLOCK = 128
@@ -89,10 +89,12 @@ class Trajectory:
 
 
 def _pair_blocks(x: np.ndarray, eps: float):
-    """Yield (row slice, squared distances, regularized squared distances).
+    """Yield (row slice, self-pair index, differences, squared distances, q).
 
-    The diagonal of each block is flagged so callers can exclude the
-    self-pair; coincident distinct pairs with eps=0 raise.
+    ``q`` is the regularized squared distance with its self-pair entries set
+    to 1, so the potential and its coefficient are finite there; callers zero
+    what the self-pair must not contribute.  Coincident distinct pairs with
+    eps=0 raise.
     """
     n = x.shape[0]
     for i0 in range(0, n, _BLOCK):
@@ -100,13 +102,12 @@ def _pair_blocks(x: np.ndarray, eps: float):
         diff = x[i0:i1, None, :] - x[None, :, :]
         sq = np.einsum("abd,abd->ab", diff, diff)
         rows = np.arange(i0, i1)
+        diag = (rows - i0, rows)
         q = sq + eps
-        if eps == 0.0:
-            off = q == 0.0
-            off[rows - i0, rows] = False
-            if np.any(off):
-                raise SingularityError("coincident particles with epsilon=0")
-        yield i0, i1, diff, sq, q
+        q[diag] = 1.0
+        if eps == 0.0 and np.any(q == 0.0):
+            raise SingularityError("coincident particles with epsilon=0")
+        yield i0, i1, diag, diff, sq, q
 
 
 def interaction_energy(ps: ParticleSet, p: PotentialParams) -> float:
@@ -116,15 +117,9 @@ def interaction_energy(ps: ParticleSet, p: PotentialParams) -> float:
     if n < 2:
         raise ValueError("interaction energy needs at least 2 particles")
     total = 0.0
-    for i0, i1, _diff, sq, q in _pair_blocks(x, p.epsilon):
-        qs = q.copy()
-        rows = np.arange(i0, i1)
-        qs[rows - i0, rows] = 1.0  # neutralize self-pairs before the power
-        if p.s == 0:
-            w = 0.5 * sq - 0.5 * np.log(qs)
-        else:
-            w = 0.5 * sq + 1.0 / (p.s * qs ** (p.s / 2.0))
-        w[rows - i0, rows] = 0.0
+    for _i0, _i1, diag, _diff, sq, q in _pair_blocks(x, p.epsilon):
+        w = pair_value(sq, q, p.s)
+        w[diag] = 0.0
         total += float(w.sum())
     return total / (n * (n - 1))
 
@@ -136,13 +131,9 @@ def forward_gradient(ps: ParticleSet, p: PotentialParams) -> np.ndarray:
     if n < 2:
         raise ValueError("forces need at least 2 particles")
     out = np.empty_like(x)
-    for i0, i1, diff, _sq, q in _pair_blocks(x, p.epsilon):
-        qs = q.copy()
-        rows = np.arange(i0, i1)
-        qs[rows - i0, rows] = 1.0
-        coef = 1.0 - qs ** (-(p.s + 2.0) / 2.0)
-        coef[rows - i0, rows] = 0.0  # diff is zero there anyway; keep it exact
-        out[i0:i1] = np.einsum("ab,abd->ad", coef, diff)
+    for i0, i1, _diag, diff, _sq, q in _pair_blocks(x, p.epsilon):
+        # q = 1 on the self-pair makes its coefficient 0, and diff is 0 there
+        out[i0:i1] = np.einsum("ab,abd->ad", gradient_coef(q, p.s), diff)
     out /= n - 1
     return out
 

@@ -1,7 +1,8 @@
 """Evaluation metrics: Riesz-kernel MMD, uniformity tests, novelty statistics.
 
 The MMD uses the regularized inverse-power kernel
-``K(z) = 1 / (s * (||z||^2 + eps)^(s/2))`` as a V-statistic with diagonals
+``K(z) = 1 / (s * (||z||^2 + eps)^(s/2))``, the repulsive part of the pair
+potential (:func:`efs.potential.repulsion`), as a V-statistic with diagonals
 included.  For s > 0 and eps > 0 this is an inverse multiquadric, strictly
 positive definite, so the statistic is nonnegative and vanishes only on
 identical multisets.  The unregularized, diagonal-excluded U-statistic is
@@ -24,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .forward import ParticleSet, Trajectory, interaction_energy
 from .pipeline import Enclosure, estimate_enclosure
-from .potential import PotentialParams
+from .potential import PotentialParams, repulsion
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class UniformityReport:
 def _kernel_mean(a: np.ndarray, b: np.ndarray, s: float, eps: float) -> float:
     diff = a[:, None, :] - b[None, :, :]
     q = np.einsum("abd,abd->ab", diff, diff) + eps
-    return float((1.0 / (s * q ** (s / 2.0))).mean())
+    return float(repulsion(q, s).mean())
 
 
 def mmd_squared(a: ParticleSet, b: ParticleSet, p: PotentialParams,
@@ -70,7 +71,7 @@ def _ustat_mean(x: np.ndarray, s: float) -> float:
     diff = x[:, None, :] - x[None, :, :]
     q = np.einsum("abd,abd->ab", diff, diff)
     np.fill_diagonal(q, 1.0)
-    k = 1.0 / (s * q ** (s / 2.0))
+    k = repulsion(q, s)
     np.fill_diagonal(k, 0.0)
     return float(k.sum()) / (n * (n - 1))
 

@@ -4,14 +4,15 @@ A run transports the training set forward, estimates the enclosing sphere of
 the final snapshot, augments fresh points (uniform sphere draw or latent
 interpolation), and inverts each augmented point back through the stored
 snapshots.  Augmented points never interact with one another; each sees only
-the stored snapshots, so samples are independent and can run in parallel.
+the stored snapshots, so samples are independent and are inverted one after
+another.  The ``threads`` arguments are accepted and ignored: the per-sample
+work is small and GIL-bound, and a thread pool measured slower than one
+thread.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,16 +54,6 @@ class SampleBatch:
     seeds: Optional[tuple]
     mode: str
     paths: Optional[tuple] = None
-
-
-def default_threads() -> int:
-    env = os.environ.get("EFS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring invalid EFS_THREADS=%r", env)
-    return 1
 
 
 def estimate_enclosure(ps: ParticleSet) -> Enclosure:
@@ -116,17 +107,6 @@ def _validate_exponent(s: float, d: int):
         )
 
 
-def _backward_many(starts, traj: Trajectory, bwd: BackwardConfig,
-                   snapshot_mode: str, threads: Optional[int]):
-    """Invert a list of start points; parallel across samples, order-stable."""
-    workers = threads if threads is not None else default_threads()
-    if workers <= 1 or len(starts) <= 1:
-        return [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode) for y in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            lambda y: run_backward(y, traj, bwd, snapshot_mode=snapshot_mode), starts))
-
-
 def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams,
                  bwd: BackwardConfig, m: int, mode: str = "sphere", seed: int = 0,
                  snapshot_mode: str = "paper", use_ball: bool = False,
@@ -145,7 +125,7 @@ def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams
     traj = run_forward(ps0, gamma, k, params)
     batch = generate_from_trajectory(
         traj, bwd, m, mode=mode, seed=seed, snapshot_mode=snapshot_mode,
-        use_ball=use_ball, seeds=seeds, keep_paths=keep_paths, threads=threads)
+        use_ball=use_ball, seeds=seeds, keep_paths=keep_paths)
     return traj, batch
 
 
@@ -179,7 +159,7 @@ def generate_from_trajectory(traj: Trajectory, bwd: BackwardConfig, m: int,
             y = interpolate_latent(final, a, b, t)
         starts.append(y)
     try:
-        paths = _backward_many(starts, traj, bwd, snapshot_mode, threads)
+        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode) for y in starts]
     except Exception as e:
         raise type(e)(f"backward stage: {e}") from e
     generated = np.array([p.generated for p in paths])
@@ -199,13 +179,8 @@ def interpolation_path(traj: Trajectory, i: int, j: int, steps: int,
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     final = traj.snapshots[-1]
-    if not 0 <= i < final.n or not 0 <= j < final.n:
-        raise IndexError(f"indices ({i}, {j}) out of range for n={final.n}")
-    if i == j:
-        raise ValueError("interpolation indices must be distinct")
-    ts = np.linspace(0.0, 1.0, steps)
-    starts = [(1.0 - t) * final.positions[i] + t * final.positions[j] for t in ts]
-    paths = _backward_many(starts, traj, bwd, snapshot_mode, threads)
+    starts = [interpolate_latent(final, i, j, t) for t in np.linspace(0.0, 1.0, steps)]
+    paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode) for y in starts]
     generated = np.array([p.generated for p in paths])
     return SampleBatch(generated=generated, seeds=None, mode="interpolation",
                        paths=tuple(paths))

@@ -10,8 +10,11 @@ The gradient has the single closed form
 
     grad W(z) = z * (1 - (||z||^2 + eps)^(-(s+2)/2))
 
-valid for every s >= 0, including the logarithmic branch.  All functions here
-are pure and stateless.
+valid for every s >= 0, including the logarithmic branch.  The elementwise
+functions :func:`repulsion`, :func:`pair_value` and :func:`gradient_coef` take
+the regularized squared distance ``q = ||z||^2 + eps`` and are the one place W
+is written; the array code in forward, backward and metrics calls them on
+whole blocks of ``q``.  All functions here are pure and stateless.
 """
 
 from __future__ import annotations
@@ -51,6 +54,27 @@ def _check_vector(z) -> np.ndarray:
     return z
 
 
+def repulsion(q, s: float):
+    """Repulsive part of W at regularized squared distance ``q``.
+
+    ``-log(q) / 2`` for s = 0, otherwise ``1 / (s * q^(s/2))``; for s > 0 it
+    is also the MMD kernel.  Elementwise on arrays.
+    """
+    if s == 0:
+        return -0.5 * np.log(q)
+    return 1.0 / (s * q ** (s / 2.0))
+
+
+def pair_value(sq, q, s: float):
+    """W from the squared distance ``sq`` and its regularization ``q``."""
+    return 0.5 * sq + repulsion(q, s)
+
+
+def gradient_coef(q, s: float):
+    """The scalar c with grad W(z) = c * z, at ``q = ||z||^2 + eps``."""
+    return 1.0 - q ** (-(s + 2.0) / 2.0)
+
+
 def potential_value(z, p: PotentialParams) -> float:
     """Evaluate W(z).  Radial: depends on ``z`` only through its norm."""
     z = _check_vector(z)
@@ -58,9 +82,7 @@ def potential_value(z, p: PotentialParams) -> float:
     q = r2 + p.epsilon
     if q == 0.0:
         raise SingularityError("potential evaluated at zero separation with epsilon=0")
-    if p.s == 0:
-        return 0.5 * r2 - 0.5 * np.log(q)
-    return 0.5 * r2 + 1.0 / (p.s * q ** (p.s / 2.0))
+    return pair_value(r2, q, p.s)
 
 
 def potential_gradient(z, p: PotentialParams) -> np.ndarray:
@@ -70,7 +92,7 @@ def potential_gradient(z, p: PotentialParams) -> np.ndarray:
     q = r2 + p.epsilon
     if q == 0.0:
         raise SingularityError("gradient at zero separation with epsilon=0")
-    return z * (1.0 - q ** (-(p.s + 2.0) / 2.0))
+    return z * gradient_coef(q, p.s)
 
 
 def pair_hessian_spectral_bound(p: PotentialParams) -> float:

@@ -56,10 +56,11 @@ def test_objective_hand_example():
     assert prox_objective([2.0, 0.0], [2.0, 0.0], snap, cfg, p) == pytest.approx(-0.25)
 
 
-def test_objective_gradient_consistency():
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_objective_gradient_consistency(s):
     snap = random_set(8, 2, seed=2)
     cfg = BackwardConfig(gamma=0.05, beta=0.1, T=10)
-    p = PotentialParams(1.0, 0.05)
+    p = PotentialParams(s, 0.05)
     anchor = np.array([0.4, 0.1])
     rng = SplitMix64(3)
     for _ in range(10):

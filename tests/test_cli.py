@@ -171,6 +171,18 @@ def test_sample_replay_bit_identical(tmp_path, capsys, trajectory_file):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sample_threads_flag_accepted_and_inert(tmp_path, capsys, trajectory_file):
+    outs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"t{threads}.csv"
+        code, _ = run(capsys, "sample", "--traj", str(trajectory_file),
+                      "--mode", "sphere", "--m", "4", "--beta", "0.1", "--T", "200",
+                      "--seed", "5", "--threads", threads, "--out", str(out))
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_sample_interpolation_path(tmp_path, capsys, trajectory_file):
     out = tmp_path / "interp.csv"
     code, kv = run(capsys, "sample", "--traj", str(trajectory_file),

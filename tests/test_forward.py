@@ -112,10 +112,11 @@ def test_forces_action_reaction():
         np.testing.assert_allclose(delta.sum(axis=0), 0.0, atol=1e-12)
 
 
-def test_forces_match_energy_gradient():
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_forces_match_energy_gradient(s):
     # Delta_i is (n/2) * d E_n / d x_i; check via finite differences
     ps = random_set(8, 2, seed=3)
-    p = PotentialParams(1.0, 0.05)
+    p = PotentialParams(s, 0.05)
     delta = forward_gradient(ps, p)
     h = 1e-6
     for i in (0, 5):

@@ -16,7 +16,6 @@ from efs import (
     sample_ball,
     sample_sphere,
 )
-from efs.pipeline import default_threads
 from efs.rng import SplitMix64
 
 
@@ -236,12 +235,3 @@ def test_exponent_window_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="efs.pipeline"):
         efs_generate(ps, 0.01, 1, PotentialParams(5.0, 1e-3), SMALL_BWD, m=1, seed=0)
     assert any("uniform-limit" in r.message for r in caplog.records)
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.delenv("EFS_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("EFS_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("EFS_THREADS", "junk")
-    assert default_threads() == 1

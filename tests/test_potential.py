@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from efs import (
+    ParticleSet,
     PotentialParams,
     SingularityError,
+    forward_gradient,
+    interaction_energy,
     pair_hessian_spectral_bound,
     paper_prox_step_bound,
     potential_gradient,
     potential_value,
 )
+from efs.backward import mean_field_gradient
 from efs.rng import SplitMix64
 
 from conftest import fd_gradient, fd_hessian, random_rotation
@@ -161,3 +165,30 @@ def test_prox_step_bound_validation():
         paper_prox_step_bound(1, PotentialParams(1.0, 1.0))
     with pytest.raises(SingularityError):
         paper_prox_step_bound(2, PotentialParams(1.0, 0.0))
+
+
+# ---------------------------------------------------------------- array sites
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+def test_array_sites_match_pairwise_loop(s):
+    # n above the 128-row block of efs.forward, so two blocks and their
+    # diagonals are covered; every array site must equal the scalar W summed
+    # with its own normalization
+    p = PotentialParams(s, 1e-2)
+    x = SplitMix64(11).normals(140 * 2).reshape(140, 2)
+    n = x.shape[0]
+    ps = ParticleSet(x)
+    energy = 0.0
+    forces = np.zeros_like(x)
+    for i in range(n):
+        for a in range(n):
+            if a != i:
+                energy += potential_value(x[i] - x[a], p)
+                forces[i] += potential_gradient(x[i] - x[a], p)
+    assert interaction_energy(ps, p) == pytest.approx(energy / (n * (n - 1)), rel=1e-12)
+    np.testing.assert_allclose(forward_gradient(ps, p), forces / (n - 1),
+                               rtol=1e-11, atol=1e-13)
+    for v in SplitMix64(12).normals(3 * 2).reshape(3, 2):
+        mean = sum(potential_gradient(v - xa, p) for xa in x) / n
+        np.testing.assert_allclose(mean_field_gradient(v, ps, p), mean,
+                                   rtol=1e-12, atol=1e-14)
