@@ -181,7 +181,7 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
 
 
 def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
-                 snapshot_mode: str = "paper") -> BackwardPath:
+                 snapshot_mode: str = "paper", _warn: bool = True) -> BackwardPath:
     """Walk the inversions from snapshot k down to snapshot 0.
 
     ``snapshot_mode="paper"`` uses the same-index schedule: step j inverts
@@ -198,14 +198,16 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
 
     Inversions that stop at the T cap with a residual above ``grad_tol``
     are reported in one warning per call, with their count and the worst
-    residual.
+    residual.  ``_warn=False`` skips the convexity-guard warning, so a batch
+    can log it once.
     """
     if snapshot_mode not in SNAPSHOT_MODES:
         raise ValueError(f"snapshot_mode must be one of {SNAPSHOT_MODES}")
     if cfg.gamma != traj.gamma:
         logger.warning("backward gamma=%g differs from trajectory gamma=%g",
                        cfg.gamma, traj.gamma)
-    _warn_convexity_guard(cfg, traj.params)
+    if _warn:
+        _warn_convexity_guard(cfg, traj.params)
     k = traj.k
     cur = np.asarray(y_k, dtype=np.float64)
     points = [cur]

@@ -190,6 +190,7 @@ def cmd_sample(args, config) -> int:
         print(f"svg={args.svg}")
     print(f"m={batch.generated.shape[0]}")
     print(f"mode={batch.mode}")
+    print(f"inner_capped={batch.inner_capped}")
     print(f"out={args.out}")
     return 0
 

@@ -10,11 +10,16 @@ from the old snapshot: ``x_i <- x_i - gamma * Delta_i``.  Pairwise work is
 blocked over rows so memory stays bounded at large n; each row's inner sum
 is a fixed-order numpy reduction over the full index range, so results are
 independent of block size.
+
+The energy E_n is computed from the same pair blocks as the forces:
+:func:`forward_gradient` also sums the pair values and caches E_n on the
+particle set, per :class:`PotentialParams`, so :func:`interaction_energy` of a
+set that has already taken a forward step builds no pair blocks again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +36,15 @@ class ParticleSet:
 
     ``positions`` is an n x d float64 matrix; row i is particle x_i.  The
     array is frozen (read-only) so sets can be shared across threads.
+
+    ``_energy`` caches E_n per :class:`PotentialParams`.  It is filled by
+    :func:`forward_gradient` and read by :func:`interaction_energy`; E_n is a
+    pure function of the read-only positions and the params, so a cached
+    value never goes stale.
     """
 
     positions: np.ndarray
+    _energy: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=np.float64, copy=True)
@@ -111,11 +122,16 @@ def _pair_blocks(x: np.ndarray, eps: float):
 
 
 def interaction_energy(ps: ParticleSet, p: PotentialParams) -> float:
-    """Average pair energy over all ordered distinct pairs (the objective E_n)."""
+    """Average pair energy over all ordered distinct pairs (the objective E_n).
+
+    Returns the value cached by :func:`forward_gradient` when there is one.
+    """
     x = ps.positions
     n = ps.n
     if n < 2:
         raise ValueError("interaction energy needs at least 2 particles")
+    if p in ps._energy:
+        return ps._energy[p]
     total = 0.0
     for _i0, _i1, diag, _diff, sq, q in _pair_blocks(x, p.epsilon):
         w = pair_value(sq, q, p.s)
@@ -125,15 +141,24 @@ def interaction_energy(ps: ParticleSet, p: PotentialParams) -> float:
 
 
 def forward_gradient(ps: ParticleSet, p: PotentialParams) -> np.ndarray:
-    """Per-particle forces; row i is Delta_i.  Columns sum to zero."""
+    """Per-particle forces; row i is Delta_i.  Columns sum to zero.
+
+    Also caches E_n on ``ps`` (see :class:`ParticleSet`), summed from the
+    same blocks in the same order as :func:`interaction_energy`.
+    """
     x = ps.positions
     n = ps.n
     if n < 2:
         raise ValueError("forces need at least 2 particles")
     out = np.empty_like(x)
-    for i0, i1, _diag, diff, _sq, q in _pair_blocks(x, p.epsilon):
+    total = 0.0
+    for i0, i1, diag, diff, sq, q in _pair_blocks(x, p.epsilon):
         # q = 1 on the self-pair makes its coefficient 0, and diff is 0 there
         out[i0:i1] = np.einsum("ab,abd->ad", gradient_coef(q, p.s), diff)
+        w = pair_value(sq, q, p.s)
+        w[diag] = 0.0
+        total += float(w.sum())
+    ps._energy[p] = total / (n * (n - 1))
     out /= n - 1
     return out
 

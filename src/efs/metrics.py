@@ -133,5 +133,11 @@ def nn_novelty(generated: ParticleSet, training: ParticleSet):
 
 
 def energy_trace(traj: Trajectory):
-    """Interaction energy per snapshot (length k + 1)."""
+    """Interaction energy per snapshot (length k + 1).
+
+    On a trajectory from :func:`run_forward`, snapshots 0..k-1 carry the
+    energy their forward step cached, so only the final snapshot's pair
+    blocks are built here; the values are bit-identical to recomputing each
+    one.
+    """
     return [interaction_energy(s, traj.params) for s in traj.snapshots]

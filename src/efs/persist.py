@@ -75,6 +75,9 @@ def read_efsb(path) -> EfsbFile:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    for name, value in (("n", n), ("d", d), ("snapshot_count", count)):
+        if value == 0:
+            raise FormatError(f"{path}: {name} is 0")
     off = _HEADER.size
     block = n * d * 8
     snaps = []
@@ -95,8 +98,11 @@ def read_efsb(path) -> EfsbFile:
         if off + 4 * n > len(raw):
             raise FormatError(f"{path}: truncated label block")
         labels = np.frombuffer(raw, dtype="<i4", count=n, offset=off).copy()
+        off += 4 * n
     elif flag != 0:
         raise FormatError(f"{path}: bad label flag {flag}")
+    if off != len(raw):
+        raise FormatError(f"{path}: {len(raw) - off} trailing bytes after the label block")
     return EfsbFile(snapshots=snaps, gamma=gamma, s=s, epsilon=epsilon, labels=labels)
 
 

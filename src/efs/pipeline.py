@@ -47,12 +47,15 @@ class SampleBatch:
 
     ``seeds`` holds one recorded RNG seed per sample for sphere-mode draws
     (None for deterministic interpolation paths); a batch regenerates
-    bit-exactly from its seeds and configs.
+    bit-exactly from its seeds and configs.  ``inner_capped`` counts the
+    inversions of the whole batch that stopped at the T cap with a residual
+    above ``grad_tol``.
     """
 
     generated: np.ndarray
     seeds: Optional[tuple]
     mode: str
+    inner_capped: int
     paths: Optional[tuple] = None
 
 
@@ -107,6 +110,16 @@ def _validate_exponent(s: float, d: int):
         )
 
 
+def _run_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: str):
+    """Invert each start; the convexity guard is checked and logged once."""
+    return [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode, _warn=(i == 0))
+            for i, y in enumerate(starts)]
+
+
+def _count_capped(paths, bwd: BackwardConfig) -> int:
+    return sum(int(np.count_nonzero(p.inner_residuals > bwd.grad_tol)) for p in paths)
+
+
 def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams,
                  bwd: BackwardConfig, m: int, mode: str = "sphere", seed: int = 0,
                  snapshot_mode: str = "paper", use_ball: bool = False,
@@ -159,11 +172,12 @@ def generate_from_trajectory(traj: Trajectory, bwd: BackwardConfig, m: int,
             y = interpolate_latent(final, a, b, t)
         starts.append(y)
     try:
-        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode) for y in starts]
+        paths = _run_batch(starts, traj, bwd, snapshot_mode)
     except Exception as e:
         raise type(e)(f"backward stage: {e}") from e
     generated = np.array([p.generated for p in paths])
     return SampleBatch(generated=generated, seeds=tuple(seeds), mode=mode,
+                       inner_capped=_count_capped(paths, bwd),
                        paths=tuple(paths) if keep_paths else None)
 
 
@@ -180,7 +194,7 @@ def interpolation_path(traj: Trajectory, i: int, j: int, steps: int,
         raise ValueError(f"steps must be >= 2, got {steps}")
     final = traj.snapshots[-1]
     starts = [interpolate_latent(final, i, j, t) for t in np.linspace(0.0, 1.0, steps)]
-    paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode) for y in starts]
+    paths = _run_batch(starts, traj, bwd, snapshot_mode)
     generated = np.array([p.generated for p in paths])
     return SampleBatch(generated=generated, seeds=None, mode="interpolation",
-                       paths=tuple(paths))
+                       inner_capped=_count_capped(paths, bwd), paths=tuple(paths))

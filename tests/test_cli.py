@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from efs import ParticleSet, PotentialParams, interaction_energy
 from efs.cli import load_config_file, main
-from efs.persist import read_csv, read_efsb, write_csv
+from efs.persist import read_csv, read_efsb, write_csv, write_efsb
 
 
 def run(capsys, *argv):
@@ -115,6 +116,15 @@ def test_forward_reference_settings_snapshot_count(tmp_path, capsys):
     assert values[-1] < values[0]
 
 
+def test_forward_energy_csv_matches_recomputation(trajectory_file):
+    blob = read_efsb(trajectory_file)
+    p = PotentialParams(blob.s, blob.epsilon)
+    rows = open(str(trajectory_file) + ".energy.csv").read().splitlines()[1:]
+    assert len(rows) == len(blob.snapshots)
+    for row, snap in zip(rows, blob.snapshots):
+        assert float(row.split(",")[1]) == interaction_energy(ParticleSet(snap), p)
+
+
 def test_forward_rejects_gamma_zero(tmp_path, capsys, mixture_file):
     code, _ = run(capsys, "forward", "--data", str(mixture_file), "--gamma", "0",
                   "--k", "3", "--s", "1", "--out", str(tmp_path / "t.efsb"))
@@ -181,6 +191,29 @@ def test_sample_threads_flag_accepted_and_inert(tmp_path, capsys, trajectory_fil
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_sample_reports_capped_inversions(tmp_path, capsys, trajectory_file):
+    def capped(T):
+        code, kv = run(capsys, "sample", "--traj", str(trajectory_file),
+                       "--mode", "sphere", "--m", "3", "--beta", "0.1", "--T", T,
+                       "--seed", "3", "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        return int(kv["inner_capped"])
+
+    assert capped("2") > 0
+    assert capped("2000") == 0
+
+
+def test_sample_zero_snapshot_trajectory_is_io_error(tmp_path, capsys):
+    path = tmp_path / "empty.efsb"
+    write_efsb(path, [np.zeros((3, 2))], gamma=0.1, s=1.0, epsilon=1e-3)
+    raw = bytearray(path.read_bytes())
+    raw[14:18] = (0).to_bytes(4, "little")  # snapshot_count
+    path.write_bytes(bytes(raw[:42]) + b"\x00")  # the 42-byte header, no labels
+    code, _ = run(capsys, "sample", "--traj", str(path), "--beta", "0.1", "--T", "10",
+                  "--out", str(tmp_path / "s.csv"))
+    assert code == 4
 
 
 def test_sample_interpolation_path(tmp_path, capsys, trajectory_file):

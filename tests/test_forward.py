@@ -6,6 +6,7 @@ from efs import (
     PotentialParams,
     SingularityError,
     Trajectory,
+    energy_trace,
     forward_gradient,
     forward_step,
     interaction_energy,
@@ -258,3 +259,24 @@ def test_blocked_pairwise_independent_of_block_size(monkeypatch):
     base = forward_gradient(ps, p)
     monkeypatch.setattr(fwd, "_BLOCK", 7)
     np.testing.assert_array_equal(forward_gradient(ps, p), base)
+
+
+# ---------------------------------------------------------------- energy cache
+
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_fused_energy_trace_matches_recomputation(s):
+    # n=140 spans two 128-row blocks; fresh sets have empty energy caches
+    p = PotentialParams(s, 1e-3)
+    traj = run_forward(random_set(140, 2, seed=40, scale=2.0), 0.05, 3, p)
+    fresh = [interaction_energy(ParticleSet(snap.positions), p) for snap in traj.snapshots]
+    np.testing.assert_array_equal(energy_trace(traj), fresh)
+
+
+def test_energy_cache_keyed_by_params():
+    ps = random_set(20, 2, seed=41)
+    p1, p2 = PotentialParams(1.0, 1e-3), PotentialParams(0.0, 0.5)
+    forward_gradient(ps, p1)
+    fresh = ParticleSet(ps.positions)
+    assert interaction_energy(ps, p2) == interaction_energy(fresh, p2)
+    assert interaction_energy(ps, p1) == interaction_energy(fresh, p1)
+    assert interaction_energy(ps, p1) != interaction_energy(ps, p2)

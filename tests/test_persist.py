@@ -66,6 +66,26 @@ def test_efsb_truncated_snapshot(tmp_path):
         read_efsb(path)
 
 
+@pytest.mark.parametrize("field, offset", [("n", 6), ("d", 10), ("snapshot_count", 14)])
+def test_efsb_zero_header_field(tmp_path, field, offset):
+    path = tmp_path / "t.efsb"
+    write_efsb(path, [random_matrix(4, 2)])
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = (0).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"t.efsb: {field} is 0"):
+        read_efsb(path)
+
+
+@pytest.mark.parametrize("labels", [None, [0, 1, 2, 3]])
+def test_efsb_trailing_bytes(tmp_path, labels):
+    path = tmp_path / "t.efsb"
+    write_efsb(path, [random_matrix(4, 2)], labels=labels)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="t.efsb: 1 trailing bytes"):
+        read_efsb(path)
+
+
 def test_efsb_rejects_shape_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_efsb(tmp_path / "t.efsb", [random_matrix(3, 2), random_matrix(4, 2)])

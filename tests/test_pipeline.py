@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,25 @@ def test_exponent_window_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="efs.pipeline"):
         efs_generate(ps, 0.01, 1, PotentialParams(5.0, 1e-3), SMALL_BWD, m=1, seed=0)
     assert any("uniform-limit" in r.message for r in caplog.records)
+
+
+def test_convexity_guard_warned_once_per_batch(caplog):
+    traj = small_trajectory(seed=9)
+    above = BackwardConfig(gamma=0.01, beta=0.5, T=20)  # 1/L_W is ~8e-6 here
+    with caplog.at_level(logging.WARNING, logger="efs.backward"):
+        generate_from_trajectory(traj, above, 3, seed=1)
+    assert sum("convexity guard" in r.message for r in caplog.records) == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="efs.backward"):
+        interpolation_path(traj, 0, 1, 3, above)
+    assert sum("convexity guard" in r.message for r in caplog.records) == 1
+
+
+def test_batch_counts_capped_inversions():
+    traj = small_trajectory(seed=9)
+    for cfg in (BackwardConfig(gamma=0.01, beta=0.5, T=2), SMALL_BWD):
+        for batch in (generate_from_trajectory(traj, cfg, 3, seed=1),
+                      interpolation_path(traj, 0, 1, 3, cfg)):
+            residuals = np.concatenate([p.inner_residuals for p in batch.paths])
+            assert batch.inner_capped == int(np.sum(residuals > cfg.grad_tol))
+    assert generate_from_trajectory(traj, BackwardConfig(0.01, 0.5, 2), 3).inner_capped == 12
