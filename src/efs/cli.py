@@ -2,7 +2,10 @@
 
 Standard output carries machine-readable ``key=value`` lines; diagnostics go
 to standard error.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 I/O error.
+3 numerical failure, 4 I/O error.  A ``--config`` file's keys are the long
+option names with ``_`` for ``-`` (``grad_tol``, ``snapshot_mode``); keys that
+name no single-value option of the subcommand are ignored, and values are
+parsed and rejected like flags (exit 2).
 """
 
 from __future__ import annotations
@@ -46,24 +49,9 @@ def load_config_file(path) -> dict:
     return out
 
 
-def resolve(args, config: dict, key: str, default=None, cast=float, required=False):
-    """Option precedence: explicit flag > config file > built-in default."""
-    value = getattr(args, key, None)
-    if value is None and key in config:
-        value = config[key]
-    if value is None:
-        if required and default is None:
-            raise ValueError(f"missing required option --{key}")
-        return default
-    if isinstance(value, str):
-        value = cast(value)
-    return value
-
-
-def resolve_exponent(args, config, d: int) -> float:
+def resolve_exponent(raw: str, d: int) -> float:
     """The exponent accepts the symbolic token ``d-2``."""
-    raw = resolve(args, config, "s", cast=str, required=True)
-    if isinstance(raw, str) and raw.replace("−", "-").strip() == "d-2":
+    if raw.replace("−", "-").strip() == "d-2":
         return float(d - 2)
     return float(raw)
 
@@ -76,19 +64,14 @@ def _read_trajectory(path):
     return traj, blob.labels
 
 
-def cmd_dataset(args, config) -> int:
-    kind = resolve(args, config, "kind", cast=str, required=True)
-    n = resolve(args, config, "n", cast=int, required=True)
-    seed = resolve(args, config, "seed", default=0, cast=int)
-    if kind == "mixture":
-        std = resolve(args, config, "std", default=None, cast=float)
-        stds = None if std is None else [std] * 4
-        lp = gaussian_mixture(n, stds=stds, seed=seed)
-    elif kind == "swiss":
-        noise = resolve(args, config, "noise", default=0.2, cast=float)
-        lp = swiss_roll(n, noise=noise, seed=seed)
+def cmd_dataset(args) -> int:
+    if args.kind == "mixture":
+        stds = None if args.std is None else [args.std] * 4
+        lp = gaussian_mixture(args.n, stds=stds, seed=args.seed)
+    elif args.kind == "swiss":
+        lp = swiss_roll(args.n, noise=args.noise, seed=args.seed)
     else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
+        raise ValueError(f"unknown dataset kind {args.kind!r}")
     save_points(lp, args.out)
     print(f"n={lp.points.n}")
     print(f"d={lp.points.d}")
@@ -96,19 +79,15 @@ def cmd_dataset(args, config) -> int:
     return 0
 
 
-def cmd_forward(args, config) -> int:
+def cmd_forward(args) -> int:
     lp = load_points(args.data)
-    d = lp.points.d
-    gamma = resolve(args, config, "gamma", required=True)
-    if gamma <= 0:
+    if args.gamma <= 0:
         raise ValueError("gamma must be positive")
-    k = resolve(args, config, "k", cast=int, required=True)
-    epsilon = resolve(args, config, "epsilon", default=1e-3)
-    s = resolve_exponent(args, config, d)
-    params = PotentialParams(s=s, epsilon=epsilon)
-    traj = run_forward(lp.points, gamma, k, params)
+    s = resolve_exponent(args.s, lp.points.d)
+    params = PotentialParams(s=s, epsilon=args.epsilon)
+    traj = run_forward(lp.points, args.gamma, args.k, params)
     persist.write_efsb(args.out, [ps.positions for ps in traj.snapshots],
-                       gamma=gamma, s=s, epsilon=epsilon, labels=lp.labels)
+                       gamma=args.gamma, s=s, epsilon=args.epsilon, labels=lp.labels)
     energies = energy_trace(traj)
     energy_out = args.energy_out or (args.out + ".energy.csv")
     with open(energy_out, "w", newline="\n") as f:
@@ -156,31 +135,23 @@ def _read_replay_seeds(path):
     return seeds
 
 
-def cmd_sample(args, config) -> int:
+def cmd_sample(args) -> int:
     traj, labels = _read_trajectory(args.traj)
-    gamma = resolve(args, config, "gamma", default=traj.gamma)
-    beta = resolve(args, config, "beta", required=True)
-    T = resolve(args, config, "T", cast=int, required=True)
-    grad_tol = resolve(args, config, "grad_tol", default=1e-10)
-    seed = resolve(args, config, "seed", default=0, cast=int)
-    m = resolve(args, config, "m", default=1, cast=int)
-    mode = resolve(args, config, "mode", default="sphere", cast=str)
-    snapshot_mode = resolve(args, config, "snapshot_mode", default="paper", cast=str)
-    bwd = BackwardConfig(gamma=gamma, beta=beta, T=T, grad_tol=grad_tol)
+    gamma = traj.gamma if args.gamma is None else args.gamma
+    bwd = BackwardConfig(gamma=gamma, beta=args.beta, T=args.T, grad_tol=args.grad_tol)
 
-    if mode == "interp" and args.i is not None:
+    if args.mode == "interp" and args.i is not None:
         if args.j is None or args.steps is None:
             raise ValueError("--mode interp with --i needs --j and --steps")
         batch = interpolation_path(traj, args.i, args.j, args.steps, bwd,
-                                   snapshot_mode=snapshot_mode)
+                                   snapshot_mode=args.snapshot_mode)
     else:
-        pipeline_mode = "interpolation" if mode == "interp" else mode
+        pipeline_mode = "interpolation" if args.mode == "interp" else args.mode
         seeds = _read_replay_seeds(args.replay) if args.replay else None
-        if seeds is not None:
-            m = len(seeds)
+        m = args.m if seeds is None else len(seeds)
         batch = generate_from_trajectory(
-            traj, bwd, m, mode=pipeline_mode, seed=seed,
-            snapshot_mode=snapshot_mode, use_ball=args.ball,
+            traj, bwd, m, mode=pipeline_mode, seed=args.seed,
+            snapshot_mode=args.snapshot_mode, use_ball=args.ball,
             seeds=seeds, keep_paths=False)
     _write_samples_csv(args.out, batch.generated, batch.seeds)
     if args.svg:
@@ -195,7 +166,7 @@ def cmd_sample(args, config) -> int:
     return 0
 
 
-def cmd_metrics(args, config) -> int:
+def cmd_metrics(args) -> int:
     did = False
     if args.points:
         blob = persist.read_efsb(args.points) if str(args.points).endswith(".efsb") \
@@ -214,9 +185,7 @@ def cmd_metrics(args, config) -> int:
     if args.mmd:
         a = load_points(args.mmd[0]).points
         b = load_points(args.mmd[1]).points
-        s = resolve(args, config, "s", default=1.0, cast=float)
-        epsilon = resolve(args, config, "epsilon", default=1e-3)
-        value = mmd_squared(a, b, PotentialParams(s=float(s), epsilon=epsilon))
+        value = mmd_squared(a, b, PotentialParams(s=args.s, epsilon=args.epsilon))
         print(f"mmd2={value:.17g}")
         did = True
     if args.nn:
@@ -232,41 +201,33 @@ def cmd_metrics(args, config) -> int:
     return 0
 
 
-def cmd_roundtrip(args, config) -> int:
-    gamma = resolve(args, config, "gamma", default=0.1)
-    k = resolve(args, config, "k", default=31, cast=int)
-    T = resolve(args, config, "T", default=300, cast=int)
-    beta = resolve(args, config, "beta", default=0.1)
-    epsilon = resolve(args, config, "epsilon", default=1e-3)
-    seed = resolve(args, config, "seed", default=0, cast=int)
-    count = resolve(args, config, "indices", default=10, cast=int)
-    snapshot_mode = resolve(args, config, "snapshot_mode", default="exact", cast=str)
-    tol = resolve(args, config, "tol", default=5e-2)
+def cmd_roundtrip(args) -> int:
     if args.data:
         points = load_points(args.data).points
     else:
-        n = resolve(args, config, "n", default=400, cast=int)
-        points = gaussian_mixture(n, seed=seed).points
-    s = resolve_exponent(args, config, points.d) if getattr(args, "s", None) or "s" in config \
-        else 1.0
-    params = PotentialParams(s=s, epsilon=epsilon)
-    traj = run_forward(points, gamma, k, params)
-    bwd = BackwardConfig(gamma=gamma, beta=beta, T=T)
-    count = min(count, points.n)
+        points = gaussian_mixture(args.n, seed=args.seed).points
+    params = PotentialParams(s=resolve_exponent(args.s, points.d), epsilon=args.epsilon)
+    traj = run_forward(points, args.gamma, args.k, params)
+    bwd = BackwardConfig(gamma=args.gamma, beta=args.beta, T=args.T)
+    count = min(args.indices, points.n)
     errors = []
     for i in range(count):
         path = run_backward(traj.snapshots[-1].positions[i], traj, bwd,
-                            snapshot_mode=snapshot_mode)
+                            snapshot_mode=args.snapshot_mode, _warn=(i == 0))
         errors.append(float(np.linalg.norm(path.generated - traj.snapshots[0].positions[i])))
     max_err = max(errors)
-    print(f"snapshot_mode={snapshot_mode}")
+    print(f"snapshot_mode={args.snapshot_mode}")
     print(f"indices={count}")
     print(f"max_recovery_error={max_err:.17g}")
-    if snapshot_mode == "exact":
-        print(f"status={'pass' if max_err <= tol else 'fail'}")
+    if args.snapshot_mode == "exact":
+        print(f"status={'pass' if max_err <= args.tol else 'fail'}")
     else:
         print("status=reported")
     return 0
+
+
+# Options with no built-in default: a flag or the --config file must set them.
+REQUIRED = {"dataset": ("kind", "n"), "forward": ("gamma", "k", "s"), "sample": ("beta", "T")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,42 +236,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", help="RNG seed")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility and ignored; samples run one at a time")
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("dataset", help="generate a synthetic dataset")
-    common(p)
+    p = command("dataset", cmd_dataset, "generate a synthetic dataset")
     p.add_argument("--kind", choices=["mixture", "swiss"])
-    p.add_argument("--n")
-    p.add_argument("--std", help="mixture component std")
-    p.add_argument("--noise", help="swiss roll noise level")
+    p.add_argument("--n", type=int)
+    p.add_argument("--std", type=float, help="mixture component std")
+    p.add_argument("--noise", type=float, default=0.2, help="swiss roll noise level")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dataset)
 
-    p = sub.add_parser("forward", help="run the forward transport, store the trajectory")
-    common(p)
+    p = command("forward", cmd_forward, "run the forward transport, store the trajectory")
     p.add_argument("--data", required=True)
-    p.add_argument("--gamma")
-    p.add_argument("--k")
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--k", type=int)
     p.add_argument("--s", help="exponent; accepts the token d-2")
-    p.add_argument("--epsilon")
+    p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--out", required=True)
-    p.add_argument("--energy-out", dest="energy_out")
-    p.set_defaults(func=cmd_forward)
+    p.add_argument("--energy-out")
 
-    p = sub.add_parser("sample", help="generate samples from a stored trajectory")
-    common(p)
+    p = command("sample", cmd_sample, "generate samples from a stored trajectory")
     p.add_argument("--traj", required=True)
-    p.add_argument("--mode", dest="mode", choices=["sphere", "interp"])
-    p.add_argument("--m")
-    p.add_argument("--gamma", help="backward gamma (defaults to the trajectory's)")
-    p.add_argument("--beta")
-    p.add_argument("--T")
-    p.add_argument("--grad-tol", dest="grad_tol")
-    p.add_argument("--snapshot-mode", dest="snapshot_mode", choices=["paper", "exact"])
+    p.add_argument("--mode", choices=["sphere", "interp"], default="sphere")
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--gamma", type=float, help="backward gamma (defaults to the trajectory's)")
+    p.add_argument("--beta", type=float)
+    p.add_argument("--T", type=int)
+    p.add_argument("--grad-tol", type=float, default=1e-10)
+    p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="paper")
     p.add_argument("--ball", action="store_true", help="uniform ball draw instead of sphere")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
@@ -318,44 +277,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", help="samples csv whose seed column to replay")
     p.add_argument("--out", required=True)
     p.add_argument("--svg")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("metrics", help="uniformity / MMD / novelty reports")
-    common(p)
+    p = command("metrics", cmd_metrics, "uniformity / MMD / novelty reports")
     p.add_argument("--points", help="point cloud or trajectory file")
     p.add_argument("--snapshot", type=int, help="snapshot index for trajectory files")
     p.add_argument("--mmd", nargs=2, metavar=("A", "B"))
-    p.add_argument("--s")
-    p.add_argument("--epsilon")
+    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--nn", nargs=2, metavar=("GENERATED", "TRAINING"))
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("roundtrip", help="forward then backward recovery check")
-    common(p)
+    p = command("roundtrip", cmd_roundtrip, "forward then backward recovery check")
     p.add_argument("--data")
-    p.add_argument("--gamma")
-    p.add_argument("--k")
-    p.add_argument("--T")
-    p.add_argument("--beta")
-    p.add_argument("--epsilon")
-    p.add_argument("--s")
-    p.add_argument("--n")
-    p.add_argument("--indices")
-    p.add_argument("--snapshot-mode", dest="snapshot_mode", choices=["paper", "exact"])
-    p.add_argument("--tol")
-    p.set_defaults(func=cmd_roundtrip)
+    p.add_argument("--gamma", type=float, default=0.1)
+    p.add_argument("--k", type=int, default=31)
+    p.add_argument("--T", type=int, default=300)
+    p.add_argument("--beta", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--s", default="1", help="exponent; accepts the token d-2")
+    p.add_argument("--n", type=int, default=400)
+    p.add_argument("--indices", type=int, default=10)
+    p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="exact")
+    p.add_argument("--tol", type=float, default=5e-2)
 
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Option precedence: explicit flag > --config file > built-in default.
+
+    The config file's values become defaults of the chosen subcommand, so
+    argparse types and rejects them as it does flags.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        config = load_config_file(args.config)
+        options = {a.dest for a in args.parser._actions if a.nargs is None}
+        args.parser.set_defaults(**{k: v for k, v in config.items() if k in options})
+        args = parser.parse_args(argv)
+    for key in REQUIRED.get(args.command, ()):
+        if getattr(args, key) is None:
+            raise ValueError(f"missing required option --{key}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = load_config_file(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
+        args = parse_args(argv)
+        logging.basicConfig(stream=sys.stderr,
+                            level=logging.INFO if args.verbose else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
+        return args.func(args)
     except (SingularityError, InstabilityError, DegenerateEnclosureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -17,6 +17,14 @@ PALETTE = (
 )
 
 
+def _plane(points) -> np.ndarray:
+    """The first two coordinates of each point; 1-D points sit at y = 0."""
+    a = np.asarray(points, dtype=np.float64)
+    if a.shape[1] == 1:
+        a = np.hstack([a, np.zeros_like(a)])
+    return a[:, :2]
+
+
 def _scale(points: np.ndarray, extra=None):
     all_pts = points if extra is None or len(extra) == 0 else np.vstack([points, extra])
     lo = all_pts.min(axis=0)
@@ -46,10 +54,10 @@ def write_scatter_svg(path, points, labels=None, stars=None):
     """Render points (colored by label) and optional generated-sample stars.
 
     Only the first two coordinates are drawn; higher-dimensional data is
-    projected onto its leading pair.
+    projected onto its leading pair, and 1-D data is drawn at y = 0.
     """
-    points = np.asarray(points, dtype=np.float64)[:, :2]
-    stars2 = None if stars is None else np.asarray(stars, dtype=np.float64)[:, :2]
+    points = _plane(points)
+    stars2 = None if stars is None else _plane(stars)
     to_px = _scale(points, stars2)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '

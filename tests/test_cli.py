@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,43 @@ def test_flags_override_config(tmp_path, capsys, mixture_file):
                   "--data", str(mixture_file), "--out", str(out_b))
     assert code == 0
     assert len(read_efsb(out_b).snapshots) == 5  # flag wins
+
+
+def test_config_malformed_value_names_option(tmp_path, capsys, mixture_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0.1\nk = many\ns = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--config", str(cfg), "--data", str(mixture_file),
+              "--out", str(tmp_path / "t.efsb")])
+    assert exc.value.code == 2
+    assert "argument --k: invalid int value: 'many'" in capsys.readouterr().err
+
+
+def test_one_config_serves_forward_and_sample(tmp_path, capsys, mixture_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0.1\nk = 3\ns = 1\nbeta = 0.1\nT = 50\n")
+    traj = tmp_path / "t.efsb"
+    code, kv = run(capsys, "forward", "--config", str(cfg), "--data", str(mixture_file),
+                   "--out", str(traj))
+    assert code == 0
+    assert kv["snapshots"] == "4"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    code, kv = run(capsys, "sample", "--config", str(cfg), "--traj", str(traj),
+                   "--m", "2", "--out", str(a))
+    assert code == 0
+    assert kv["m"] == "2"
+    code, _ = run(capsys, "sample", "--traj", str(traj), "--m", "2", "--gamma", "0.1",
+                  "--beta", "0.1", "--T", "50", "--out", str(b))
+    assert code == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_config_ignores_keys_that_are_not_options(tmp_path, capsys, mixture_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("func = x\ncommand = x\ncolour = blue\ngamma = 0.1\nk = 2\ns = 1\n")
+    code, _ = run(capsys, "forward", "--config", str(cfg), "--data", str(mixture_file),
+                  "--out", str(tmp_path / "t.efsb"))
+    assert code == 0
 
 
 # ---------------------------------------------------------------- dataset
@@ -247,6 +286,38 @@ def test_sample_svg_output(tmp_path, capsys, trajectory_file):
     assert body.count("<circle") == 120  # one dot per training point
 
 
+def test_sample_converged_replay_bit_identical(tmp_path, capsys, trajectory_file):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    code, kv = run(capsys, "sample", "--traj", str(trajectory_file),
+                   "--mode", "sphere", "--m", "4", "--beta", "0.1", "--T", "2000",
+                   "--seed", "5", "--out", str(a))
+    assert code == 0
+    assert kv["inner_capped"] == "0"
+    code, kv = run(capsys, "sample", "--traj", str(trajectory_file), "--replay", str(a),
+                   "--beta", "0.1", "--T", "2000", "--out", str(b))
+    assert code == 0
+    assert kv["inner_capped"] == "0"
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_sample_svg_one_dimensional(tmp_path, capsys):
+    data = tmp_path / "line.csv"
+    write_csv(data, np.linspace(-1.0, 1.0, 30)[:, None] ** 3)
+    traj = tmp_path / "line.efsb"
+    code, _ = run(capsys, "forward", "--data", str(data), "--gamma", "0.01", "--k", "2",
+                  "--s", "0.5", "--out", str(traj))
+    assert code == 0
+    pic = tmp_path / "line.svg"
+    code, kv = run(capsys, "sample", "--traj", str(traj), "--mode", "interp", "--m", "2",
+                   "--beta", "0.1", "--T", "50", "--out", str(tmp_path / "s.csv"),
+                   "--svg", str(pic))
+    assert code == 0
+    assert kv["svg"] == str(pic)
+    body = pic.read_text()
+    assert body.count("<circle") == 30
+    assert body.count("<polygon") == 2
+
+
 # ---------------------------------------------------------------- metrics
 
 def test_metrics_uniformity_snapshots(tmp_path, capsys, trajectory_file):
@@ -299,3 +370,12 @@ def test_roundtrip_paper_mode_reports_only(capsys):
     assert code == 0
     assert kv["status"] == "reported"
     assert float(kv["max_recovery_error"]) >= 0.0
+
+
+def test_roundtrip_warns_convexity_guard_once(capsys, caplog):
+    with caplog.at_level(logging.WARNING, logger="efs"):
+        code, kv = run(capsys, "roundtrip", "--n", "60", "--k", "3", "--T", "100",
+                       "--indices", "4")
+    assert code == 0
+    assert kv["indices"] == "4"
+    assert sum("convexity guard" in r.message for r in caplog.records) == 1
