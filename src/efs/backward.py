@@ -198,15 +198,15 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
 
     Inversions that stop at the T cap with a residual above ``grad_tol``
     are reported in one warning per call, with their count and the worst
-    residual.  ``_warn=False`` skips the convexity-guard warning, so a batch
-    can log it once.
+    residual.  ``_warn=False`` skips the gamma-mismatch and convexity-guard
+    warnings, so a batch can log them once.
     """
     if snapshot_mode not in SNAPSHOT_MODES:
         raise ValueError(f"snapshot_mode must be one of {SNAPSHOT_MODES}")
-    if cfg.gamma != traj.gamma:
-        logger.warning("backward gamma=%g differs from trajectory gamma=%g",
-                       cfg.gamma, traj.gamma)
     if _warn:
+        if cfg.gamma != traj.gamma:
+            logger.warning("backward gamma=%g differs from trajectory gamma=%g",
+                           cfg.gamma, traj.gamma)
         _warn_convexity_guard(cfg, traj.params)
     k = traj.k
     cur = np.asarray(y_k, dtype=np.float64)

@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import persist, svg
-from .backward import BackwardConfig, run_backward
+from .backward import BackwardConfig
 from .datasets import gaussian_mixture, load_points, save_points, swiss_roll
 from .errors import DegenerateEnclosureError, FormatError, InstabilityError, SingularityError
 from .forward import ParticleSet, Trajectory, run_forward
 from .metrics import energy_trace, mmd_squared, nn_novelty, uniformity_report
-from .pipeline import generate_from_trajectory, interpolation_path
+from .pipeline import generate_from_trajectory, interpolation_path, invert_batch
 from .potential import PotentialParams
 
 logger = logging.getLogger(__name__)
@@ -169,11 +169,12 @@ def cmd_sample(args) -> int:
 def cmd_metrics(args) -> int:
     did = False
     if args.points:
-        blob = persist.read_efsb(args.points) if str(args.points).endswith(".efsb") \
-            else None
-        if blob is not None:
-            idx = args.snapshot if args.snapshot is not None else len(blob.snapshots) - 1
-            points = ParticleSet(blob.snapshots[idx])
+        if str(args.points).endswith(".efsb"):
+            snapshots = persist.read_efsb(args.points).snapshots
+            idx = len(snapshots) - 1 if args.snapshot is None else args.snapshot
+            if not -len(snapshots) <= idx < len(snapshots):
+                raise ValueError(f"--snapshot {idx} is out of range for {len(snapshots)} snapshots")
+            points = ParticleSet(snapshots[idx])
         else:
             points = load_points(args.points).points
         report = uniformity_report(points)
@@ -209,16 +210,17 @@ def cmd_roundtrip(args) -> int:
     params = PotentialParams(s=resolve_exponent(args.s, points.d), epsilon=args.epsilon)
     traj = run_forward(points, args.gamma, args.k, params)
     bwd = BackwardConfig(gamma=args.gamma, beta=args.beta, T=args.T)
+    if args.indices < 1:
+        raise ValueError(f"--indices must be >= 1, got {args.indices}")
     count = min(args.indices, points.n)
-    errors = []
-    for i in range(count):
-        path = run_backward(traj.snapshots[-1].positions[i], traj, bwd,
-                            snapshot_mode=args.snapshot_mode, _warn=(i == 0))
-        errors.append(float(np.linalg.norm(path.generated - traj.snapshots[0].positions[i])))
-    max_err = max(errors)
+    batch = invert_batch(traj.snapshots[-1].positions[:count], traj, bwd,
+                         args.snapshot_mode, "roundtrip", keep_paths=False)
+    max_err = max(float(np.linalg.norm(g - x))
+                  for g, x in zip(batch.generated, traj.snapshots[0].positions))
     print(f"snapshot_mode={args.snapshot_mode}")
     print(f"indices={count}")
     print(f"max_recovery_error={max_err:.17g}")
+    print(f"inner_capped={batch.inner_capped}")
     if args.snapshot_mode == "exact":
         print(f"status={'pass' if max_err <= args.tol else 'fail'}")
     else:

@@ -110,14 +110,23 @@ def _validate_exponent(s: float, d: int):
         )
 
 
-def _run_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: str):
-    """Invert each start; the convexity guard is checked and logged once."""
-    return [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode, _warn=(i == 0))
-            for i, y in enumerate(starts)]
+def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: str,
+                 mode: str, seeds: Optional[list] = None,
+                 keep_paths: bool = True) -> SampleBatch:
+    """Invert each start back through ``traj`` and collect the batch.
 
-
-def _count_capped(paths, bwd: BackwardConfig) -> int:
-    return sum(int(np.count_nonzero(p.inner_residuals > bwd.grad_tol)) for p in paths)
+    The convexity guard and a gamma mismatch are checked and logged once per
+    batch; ``inner_capped`` counts the batch's T-capped inversions.
+    """
+    try:
+        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode, _warn=(i == 0))
+                 for i, y in enumerate(starts)]
+    except Exception as e:
+        raise type(e)(f"backward stage: {e}") from e
+    capped = sum(int(np.count_nonzero(p.inner_residuals > bwd.grad_tol)) for p in paths)
+    return SampleBatch(generated=np.array([p.generated for p in paths]),
+                       seeds=None if seeds is None else tuple(seeds), mode=mode,
+                       inner_capped=capped, paths=tuple(paths) if keep_paths else None)
 
 
 def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams,
@@ -159,7 +168,7 @@ def generate_from_trajectory(traj: Trajectory, bwd: BackwardConfig, m: int,
         seeds = [spawn_seed(seed, i) for i in range(m)]
     enc = estimate_enclosure(final) if mode == "sphere" else None
     starts = []
-    for i, child in enumerate(seeds):
+    for child in seeds:
         rng = SplitMix64(child)
         if mode == "sphere":
             y = sample_ball(enc, final.d, rng) if use_ball else sample_sphere(enc, final.d, rng)
@@ -168,17 +177,10 @@ def generate_from_trajectory(traj: Trajectory, bwd: BackwardConfig, m: int,
             b = rng.integer(final.n - 1)
             if b >= a:
                 b += 1
-            t = rng.uniform()
-            y = interpolate_latent(final, a, b, t)
+            y = interpolate_latent(final, a, b, rng.uniform())
         starts.append(y)
-    try:
-        paths = _run_batch(starts, traj, bwd, snapshot_mode)
-    except Exception as e:
-        raise type(e)(f"backward stage: {e}") from e
-    generated = np.array([p.generated for p in paths])
-    return SampleBatch(generated=generated, seeds=tuple(seeds), mode=mode,
-                       inner_capped=_count_capped(paths, bwd),
-                       paths=tuple(paths) if keep_paths else None)
+    return invert_batch(starts, traj, bwd, snapshot_mode, mode, seeds=seeds,
+                        keep_paths=keep_paths)
 
 
 def interpolation_path(traj: Trajectory, i: int, j: int, steps: int,
@@ -194,7 +196,4 @@ def interpolation_path(traj: Trajectory, i: int, j: int, steps: int,
         raise ValueError(f"steps must be >= 2, got {steps}")
     final = traj.snapshots[-1]
     starts = [interpolate_latent(final, i, j, t) for t in np.linspace(0.0, 1.0, steps)]
-    paths = _run_batch(starts, traj, bwd, snapshot_mode)
-    generated = np.array([p.generated for p in paths])
-    return SampleBatch(generated=generated, seeds=None, mode="interpolation",
-                       inner_capped=_count_capped(paths, bwd), paths=tuple(paths))
+    return invert_batch(starts, traj, bwd, snapshot_mode, "interpolation")

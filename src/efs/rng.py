@@ -20,12 +20,11 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
-    return z ^ (z >> 31)
+def mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on uint64 arrays (wraps mod 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
+    return z ^ (z >> np.uint64(31))
 
 
 def spawn_seed(seed: int, index: int) -> int:
@@ -34,7 +33,8 @@ def spawn_seed(seed: int, index: int) -> int:
     Children of distinct (seed, index) pairs are statistically independent
     streams; the rule is fixed so recorded child seeds replay exactly.
     """
-    return mix64((seed & _MASK) ^ mix64(((index + 1) * _GOLDEN) & _MASK))
+    child = mix64(np.array([((index + 1) * _GOLDEN) & _MASK], dtype=np.uint64))
+    return int(mix64(np.array([seed & _MASK], dtype=np.uint64) ^ child)[0])
 
 
 class SplitMix64:
@@ -51,10 +51,7 @@ class SplitMix64:
     def _raw(self, size: int) -> np.ndarray:
         counters = np.arange(self._count + 1, self._count + size + 1, dtype=np.uint64)
         self._count += size
-        z = (np.uint64(self._seed) + counters * np.uint64(_GOLDEN)) & np.uint64(_MASK)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+        return mix64(np.uint64(self._seed) + counters * np.uint64(_GOLDEN))
 
     def uniforms(self, size: int) -> np.ndarray:
         """``size`` uniforms on (0, 1], 53-bit resolution."""

@@ -329,6 +329,17 @@ def test_metrics_uniformity_snapshots(tmp_path, capsys, trajectory_file):
     assert code == 0
     assert 0.0 <= float(kv_final["radial_ks"]) <= 1.0
     assert float(kv_first["radial_ks"]) != float(kv_final["radial_ks"])
+    code, kv_last = run(capsys, "metrics", "--points", str(trajectory_file), "--snapshot", "-1")
+    assert code == 0
+    assert kv_last == kv_final
+
+
+@pytest.mark.parametrize("index", ["6", "-7", "99"])
+def test_metrics_snapshot_out_of_range(capsys, trajectory_file, index):
+    code = main(["metrics", "--points", str(trajectory_file), "--snapshot", index])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--snapshot" in err and "6 snapshots" in err
 
 
 def test_metrics_mmd_halves(tmp_path, capsys, mixture_file):
@@ -379,3 +390,21 @@ def test_roundtrip_warns_convexity_guard_once(capsys, caplog):
     assert code == 0
     assert kv["indices"] == "4"
     assert sum("convexity guard" in r.message for r in caplog.records) == 1
+
+
+def test_roundtrip_reports_inner_capped(capsys):
+    capped = {}
+    for T in ("20", "100"):
+        code, kv = run(capsys, "roundtrip", "--n", "60", "--k", "3", "--T", T,
+                       "--indices", "4")
+        assert code == 0
+        capped[T] = int(kv["inner_capped"])
+    # 4 indices x 3 inversions; a larger cap leaves fewer inversions capped
+    assert 12 >= capped["20"] > capped["100"] >= 1
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_roundtrip_rejects_indices_below_one(capsys, count):
+    code = main(["roundtrip", "--n", "60", "--k", "3", "--T", "10", "--indices", count])
+    assert code == 2
+    assert "--indices" in capsys.readouterr().err

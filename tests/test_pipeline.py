@@ -7,6 +7,7 @@ from efs import (
     BackwardConfig,
     DegenerateEnclosureError,
     Enclosure,
+    InstabilityError,
     ParticleSet,
     PotentialParams,
     efs_generate,
@@ -259,3 +260,22 @@ def test_batch_counts_capped_inversions():
             residuals = np.concatenate([p.inner_residuals for p in batch.paths])
             assert batch.inner_capped == int(np.sum(residuals > cfg.grad_tol))
     assert generate_from_trajectory(traj, BackwardConfig(0.01, 0.5, 2), 3).inner_capped == 12
+
+
+def test_gamma_mismatch_warned_once_per_batch(caplog):
+    traj = small_trajectory(seed=9)
+    other = BackwardConfig(gamma=0.009, beta=0.5, T=20)
+    with caplog.at_level(logging.WARNING, logger="efs.backward"):
+        generate_from_trajectory(traj, other, 3, seed=1)
+    assert sum("differs from trajectory gamma" in r.message for r in caplog.records) == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="efs.backward"):
+        interpolation_path(traj, 0, 1, 3, other)
+    assert sum("differs from trajectory gamma" in r.message for r in caplog.records) == 1
+
+
+def test_interpolation_path_errors_name_backward_stage():
+    traj = small_trajectory(seed=9)
+    diverging = BackwardConfig(gamma=0.01, beta=1e12, T=20)
+    with pytest.raises(InstabilityError, match="^backward stage: "):
+        interpolation_path(traj, 0, 1, 3, diverging)
