@@ -138,6 +138,14 @@ def _warn_convexity_guard(cfg: BackwardConfig, p: PotentialParams):
         )
 
 
+def _warn_config(cfg: BackwardConfig, traj: Trajectory):
+    """Log a gamma mismatch with ``traj`` and a ``cfg`` above the convexity guard."""
+    if cfg.gamma != traj.gamma:
+        logger.warning("backward gamma=%g differs from trajectory gamma=%g",
+                       cfg.gamma, traj.gamma)
+    _warn_convexity_guard(cfg, traj.params)
+
+
 def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
                 _warn: bool = True):
     """Invert one forward step: minimize H anchored at ``y_j``.
@@ -198,16 +206,13 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
 
     Inversions that stop at the T cap with a residual above ``grad_tol``
     are reported in one warning per call, with their count and the worst
-    residual.  ``_warn=False`` skips the gamma-mismatch and convexity-guard
-    warnings, so a batch can log them once.
+    residual.  ``_warn=False`` skips that warning and the gamma-mismatch
+    and convexity-guard warnings, so a batch can log each of them once.
     """
     if snapshot_mode not in SNAPSHOT_MODES:
         raise ValueError(f"snapshot_mode must be one of {SNAPSHOT_MODES}")
     if _warn:
-        if cfg.gamma != traj.gamma:
-            logger.warning("backward gamma=%g differs from trajectory gamma=%g",
-                           cfg.gamma, traj.gamma)
-        _warn_convexity_guard(cfg, traj.params)
+        _warn_config(cfg, traj)
     k = traj.k
     cur = np.asarray(y_k, dtype=np.float64)
     points = [cur]
@@ -222,7 +227,7 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
         residuals.append(res)
     residuals = np.array(residuals)
     capped = residuals > cfg.grad_tol
-    if capped.any():
+    if _warn and capped.any():
         logger.warning(
             "%d of %d inversions stopped at the T=%d cap above grad_tol=%g "
             "(worst residual %.3g)",

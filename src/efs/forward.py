@@ -7,9 +7,10 @@ per-particle force is
 
 and one forward step moves every particle simultaneously (Jacobi update)
 from the old snapshot: ``x_i <- x_i - gamma * Delta_i``.  Pairwise work is
-blocked over rows so memory stays bounded at large n; each row's inner sum
-is a fixed-order numpy reduction over the full index range, so results are
-independent of block size.
+done in blocks of rows, with one 2-D difference block per coordinate.  A
+block holds about ``_BLOCK_PAIRS`` pairs, so each of its float64 arrays is at
+most 128 KB and stays in a core's L2 cache.  Each row's inner sum is a fixed-order numpy reduction over the full
+index range, so forces are independent of block size.
 
 The energy E_n is computed from the same pair blocks as the forces:
 :func:`forward_gradient` also sums the pair values and caches E_n on the
@@ -26,8 +27,9 @@ import numpy as np
 from .errors import SingularityError
 from .potential import PotentialParams, gradient_coef, pair_value
 
-# Rows per pairwise block; ~n * _BLOCK * d doubles live at once.
-_BLOCK = 128
+# Pairs per block.  A block has max(1, _BLOCK_PAIRS // n) rows, so each of its
+# (rows, n) float64 arrays is at most 128 KB, which a core's L2 cache holds.
+_BLOCK_PAIRS = 16384
 
 
 @dataclass(frozen=True)
@@ -100,25 +102,31 @@ class Trajectory:
 
 
 def _pair_blocks(x: np.ndarray, eps: float):
-    """Yield (row slice, self-pair index, differences, squared distances, q).
+    """Yield (row slice, self-pair index, coordinate differences, squared distances, q).
 
-    ``q`` is the regularized squared distance with its self-pair entries set
-    to 1, so the potential and its coefficient are finite there; callers zero
-    what the self-pair must not contribute.  Coincident distinct pairs with
-    eps=0 raise.
+    The coordinate differences are d blocks ``t[k] = x[i0:i1, k, None] -
+    x[None, :, k]``, each of shape (rows, n), with rows = ``_BLOCK_PAIRS //
+    n`` (at least 1).  ``q`` is the regularized squared distance with its
+    self-pair entries set to 1, so the potential and its coefficient are
+    finite there; callers zero what the self-pair must not contribute.
+    Coincident distinct pairs with eps=0 raise.
     """
     n = x.shape[0]
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        diff = x[i0:i1, None, :] - x[None, :, :]
-        sq = np.einsum("abd,abd->ab", diff, diff)
+    cols = np.ascontiguousarray(x.T)
+    step = max(1, _BLOCK_PAIRS // n)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        t = [c[i0:i1, None] - c[None, :] for c in cols]
+        sq = t[0] * t[0]
+        for tk in t[1:]:
+            sq += tk * tk
         rows = np.arange(i0, i1)
         diag = (rows - i0, rows)
         q = sq + eps
         q[diag] = 1.0
         if eps == 0.0 and np.any(q == 0.0):
             raise SingularityError("coincident particles with epsilon=0")
-        yield i0, i1, diag, diff, sq, q
+        yield i0, i1, diag, t, sq, q
 
 
 def interaction_energy(ps: ParticleSet, p: PotentialParams) -> float:
@@ -133,7 +141,7 @@ def interaction_energy(ps: ParticleSet, p: PotentialParams) -> float:
     if p in ps._energy:
         return ps._energy[p]
     total = 0.0
-    for _i0, _i1, diag, _diff, sq, q in _pair_blocks(x, p.epsilon):
+    for _i0, _i1, diag, _t, sq, q in _pair_blocks(x, p.epsilon):
         w = pair_value(sq, q, p.s)
         w[diag] = 0.0
         total += float(w.sum())
@@ -152,9 +160,11 @@ def forward_gradient(ps: ParticleSet, p: PotentialParams) -> np.ndarray:
         raise ValueError("forces need at least 2 particles")
     out = np.empty_like(x)
     total = 0.0
-    for i0, i1, diag, diff, sq, q in _pair_blocks(x, p.epsilon):
-        # q = 1 on the self-pair makes its coefficient 0, and diff is 0 there
-        out[i0:i1] = np.einsum("ab,abd->ad", gradient_coef(q, p.s), diff)
+    for i0, i1, diag, t, sq, q in _pair_blocks(x, p.epsilon):
+        # q = 1 on the self-pair makes its coefficient 0, and t is 0 there
+        coef = gradient_coef(q, p.s)
+        for k, tk in enumerate(t):
+            out[i0:i1, k] = np.einsum("ab,ab->a", coef, tk)
         w = pair_value(sq, q, p.s)
         w[diag] = 0.0
         total += float(w.sum())

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backward import BackwardConfig, BackwardPath, run_backward
+from .backward import BackwardConfig, BackwardPath, _warn_config, run_backward
 from .errors import DegenerateEnclosureError
 from .forward import ParticleSet, Trajectory, run_forward
 from .potential import PotentialParams
@@ -116,14 +116,22 @@ def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: s
     """Invert each start back through ``traj`` and collect the batch.
 
     The convexity guard and a gamma mismatch are checked and logged once per
-    batch; ``inner_capped`` counts the batch's T-capped inversions.
+    batch; ``inner_capped`` counts the batch's T-capped inversions, which are
+    reported in one warning per batch with the worst residual.
     """
+    _warn_config(bwd, traj)
     try:
-        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode, _warn=(i == 0))
-                 for i, y in enumerate(starts)]
+        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode, _warn=False)
+                 for y in starts]
     except Exception as e:
         raise type(e)(f"backward stage: {e}") from e
-    capped = sum(int(np.count_nonzero(p.inner_residuals > bwd.grad_tol)) for p in paths)
+    residuals = np.concatenate([p.inner_residuals for p in paths])
+    capped = int(np.count_nonzero(residuals > bwd.grad_tol))
+    if capped:
+        logger.warning(
+            "%d of %d inversions in the batch stopped at the T=%d cap above grad_tol=%g "
+            "(worst residual %.3g)",
+            capped, residuals.size, bwd.T, bwd.grad_tol, float(residuals.max()))
     return SampleBatch(generated=np.array([p.generated for p in paths]),
                        seeds=None if seeds is None else tuple(seeds), mode=mode,
                        inner_capped=capped, paths=tuple(paths) if keep_paths else None)

@@ -12,6 +12,7 @@ from efs import (
     interaction_energy,
     run_forward,
 )
+from efs.potential import gradient_coef, pair_value
 from efs.rng import SplitMix64
 
 from conftest import random_rotation
@@ -251,21 +252,47 @@ def test_equivariance_permutation():
         np.testing.assert_allclose(b.positions, a.positions[perm], atol=1e-10)
 
 
-def test_blocked_pairwise_independent_of_block_size(monkeypatch):
+@pytest.mark.parametrize("s", [0.0, 1.0], ids=lambda s: f"s={s:g}")
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
+def test_blocked_pairwise_independent_of_block_size(monkeypatch, s, d):
     import efs.forward as fwd
 
-    ps = random_set(300, 2, seed=30, scale=2.0)
-    p = PotentialParams(1.0, 1e-3)
+    ps = random_set(300, d, seed=30, scale=2.0)
+    p = PotentialParams(s, 1e-3)
     base = forward_gradient(ps, p)
-    monkeypatch.setattr(fwd, "_BLOCK", 7)
+    monkeypatch.setattr(fwd, "_BLOCK_PAIRS", 7 * 300)  # 7-row blocks
     np.testing.assert_array_equal(forward_gradient(ps, p), base)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0], ids=lambda s: f"s={s:g}")
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
+def test_forces_match_difference_tensor(s, d):
+    # the per-coordinate blocks against the (n, n, d) difference tensor they
+    # replaced; n=300 spans several blocks
+    ps = random_set(300, d, seed=31, scale=2.0)
+    p = PotentialParams(s, 1e-3)
+    x = ps.positions
+    n = ps.n
+    diff = x[:, None] - x[None]
+    sq = np.einsum("abd,abd->ab", diff, diff)
+    q = sq + p.epsilon
+    np.fill_diagonal(q, 1.0)
+    coef = gradient_coef(q, p.s)
+    w = pair_value(sq, q, p.s)
+    np.fill_diagonal(w, 0.0)
+    ref_forces = np.einsum("ab,abd->ad", coef, diff) / (n - 1)
+    ref_energy = w.sum() / (n * (n - 1))
+    np.testing.assert_allclose(forward_gradient(ps, p), ref_forces, rtol=0, atol=1e-13)
+    # the energy cached by forward_gradient and a fresh set's own blocks
+    assert interaction_energy(ps, p) == pytest.approx(ref_energy, rel=1e-13)
+    assert interaction_energy(ParticleSet(x), p) == pytest.approx(ref_energy, rel=1e-13)
 
 
 # ---------------------------------------------------------------- energy cache
 
 @pytest.mark.parametrize("s", [0.0, 1.0])
 def test_fused_energy_trace_matches_recomputation(s):
-    # n=140 spans two 128-row blocks; fresh sets have empty energy caches
+    # n=140 spans more than one block; fresh sets have empty energy caches
     p = PotentialParams(s, 1e-3)
     traj = run_forward(random_set(140, 2, seed=40, scale=2.0), 0.05, 3, p)
     fresh = [interaction_energy(ParticleSet(snap.positions), p) for snap in traj.snapshots]

@@ -274,6 +274,21 @@ def test_gamma_mismatch_warned_once_per_batch(caplog):
     assert sum("differs from trajectory gamma" in r.message for r in caplog.records) == 1
 
 
+def test_capped_batch_logs_one_summary(caplog):
+    traj = small_trajectory(seed=9)
+    capping = BackwardConfig(gamma=0.01, beta=0.5, T=2)
+    for run in (lambda: generate_from_trajectory(traj, capping, 3, seed=1),
+                lambda: interpolation_path(traj, 0, 1, 3, capping)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            batch = run()
+        cap_lines = [r.message for r in caplog.records if "cap above grad_tol" in r.message]
+        assert batch.inner_capped > 0
+        assert cap_lines == [f"{batch.inner_capped} of 12 inversions in the batch stopped "
+                             f"at the T=2 cap above grad_tol=1e-10 (worst residual "
+                             f"{max(p.inner_residuals.max() for p in batch.paths):.3g})"]
+
+
 def test_interpolation_path_errors_name_backward_stage():
     traj = small_trajectory(seed=9)
     diverging = BackwardConfig(gamma=0.01, beta=1e12, T=20)

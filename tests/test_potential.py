@@ -171,8 +171,8 @@ def test_prox_step_bound_validation():
 
 @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
 def test_array_sites_match_pairwise_loop(s):
-    # n above the 128-row block of efs.forward, so two blocks and their
-    # diagonals are covered; every array site must equal the scalar W summed
+    # n=140 spans more than one block of efs.forward, so several blocks and
+    # their diagonals are covered; every array site must equal the scalar W summed
     # with its own normalization
     p = PotentialParams(s, 1e-2)
     x = SplitMix64(11).normals(140 * 2).reshape(140, 2)
