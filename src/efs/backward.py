@@ -146,6 +146,21 @@ def _warn_config(cfg: BackwardConfig, traj: Trajectory):
     _warn_convexity_guard(cfg, traj.params)
 
 
+def _warn_capped(residuals: np.ndarray, cfg: BackwardConfig, scope: str = "") -> int:
+    """Count the inversions that stopped at the T cap above ``grad_tol``.
+
+    Logs one warning with the count and the worst residual when any did;
+    ``scope`` is inserted after "inversions" to say what was counted.
+    """
+    capped = int(np.count_nonzero(residuals > cfg.grad_tol))
+    if capped:
+        logger.warning(
+            "%d of %d inversions%s stopped at the T=%d cap above grad_tol=%g "
+            "(worst residual %.3g)",
+            capped, residuals.size, scope, cfg.T, cfg.grad_tol, float(residuals.max()))
+    return capped
+
+
 def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
                 _warn: bool = True):
     """Invert one forward step: minimize H anchored at ``y_j``.
@@ -226,10 +241,6 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
         points.append(cur)
         residuals.append(res)
     residuals = np.array(residuals)
-    capped = residuals > cfg.grad_tol
-    if _warn and capped.any():
-        logger.warning(
-            "%d of %d inversions stopped at the T=%d cap above grad_tol=%g "
-            "(worst residual %.3g)",
-            int(capped.sum()), k, cfg.T, cfg.grad_tol, float(residuals.max()))
+    if _warn:
+        _warn_capped(residuals, cfg)
     return BackwardPath(np.array(points), residuals)

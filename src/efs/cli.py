@@ -107,34 +107,6 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _write_samples_csv(path, generated: np.ndarray, seeds):
-    n, d = generated.shape
-    header = ",".join(f"x{i}" for i in range(d)) + ",seed"
-    with open(path, "w", newline="\n") as f:
-        f.write(header + "\n")
-        for i in range(n):
-            row = ",".join(f"{v:.17g}" for v in generated[i])
-            f.write(f"{row},{seeds[i] if seeds is not None else 0}\n")
-
-
-def _read_replay_seeds(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].split(",")[-1] == "seed":
-        raise FormatError(f"{path}: expected a samples csv with a trailing seed column")
-    seeds = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            seeds.append(int(line.split(",")[-1]))
-        except ValueError as e:
-            raise FormatError(f"{path}: line {lineno}: {e}") from e
-    if not seeds:
-        raise FormatError(f"{path}: no seeds found")
-    return seeds
-
-
 def cmd_sample(args) -> int:
     traj, labels = _read_trajectory(args.traj)
     gamma = traj.gamma if args.gamma is None else args.gamma
@@ -147,13 +119,18 @@ def cmd_sample(args) -> int:
                                    snapshot_mode=args.snapshot_mode)
     else:
         pipeline_mode = "interpolation" if args.mode == "interp" else args.mode
-        seeds = _read_replay_seeds(args.replay) if args.replay else None
+        seeds = None
+        if args.replay:
+            _points, _labels, seeds = persist.read_csv(args.replay)
+            if seeds is None:
+                raise FormatError(f"{args.replay}: expected a samples csv with a trailing seed column")
+            seeds = seeds.tolist()
         m = args.m if seeds is None else len(seeds)
         batch = generate_from_trajectory(
             traj, bwd, m, mode=pipeline_mode, seed=args.seed,
             snapshot_mode=args.snapshot_mode, use_ball=args.ball,
             seeds=seeds, keep_paths=False)
-    _write_samples_csv(args.out, batch.generated, batch.seeds)
+    persist.write_csv(args.out, batch.generated, seeds=batch.seeds)
     if args.svg:
         first = traj.snapshots[0]
         svg.write_scatter_svg(args.svg, first.positions, labels=labels,

@@ -91,26 +91,21 @@ def swiss_roll(n: int, noise: float = 0.2, seed: int = 0) -> LabeledPoints:
     return LabeledPoints(points=ParticleSet(pts), labels=labels)
 
 
-def save_points(lp: LabeledPoints, path, fmt: Optional[str] = None):
-    """Write a labeled point cloud as csv or efsb (by extension if fmt=None)."""
-    fmt = fmt or _infer_format(path)
-    if fmt == "csv":
+def save_points(lp: LabeledPoints, path):
+    """Write a labeled point cloud as csv or efsb, chosen by the extension."""
+    if _infer_format(path) == "csv":
         persist.write_csv(path, lp.points.positions, labels=lp.labels)
-    elif fmt == "efsb":
-        persist.write_efsb(path, [lp.points.positions], labels=lp.labels)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        persist.write_efsb(path, [lp.points.positions], labels=lp.labels)
 
 
-def load_points(path, fmt: Optional[str] = None) -> LabeledPoints:
-    fmt = fmt or _infer_format(path)
-    if fmt == "csv":
-        points, labels = persist.read_csv(path)
-    elif fmt == "efsb":
+def load_points(path) -> LabeledPoints:
+    """Read a csv or efsb point cloud; a samples csv's seed column is dropped."""
+    if _infer_format(path) == "csv":
+        points, labels, _seeds = persist.read_csv(path)
+    else:
         blob = persist.read_efsb(path)
         points, labels = blob.snapshots[0], blob.labels
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     return LabeledPoints(points=ParticleSet(points), labels=labels)
 
 
@@ -120,4 +115,4 @@ def _infer_format(path) -> str:
         return "csv"
     if name.endswith(".efsb"):
         return "efsb"
-    raise ValueError(f"cannot infer format from {name!r}; pass fmt explicitly")
+    raise ValueError(f"cannot infer format from {name!r}; use a .csv or .efsb extension")

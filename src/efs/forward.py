@@ -20,12 +20,15 @@ set that has already taken a forward step builds no pair blocks again.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SingularityError
 from .potential import PotentialParams, gradient_coef, pair_value
+
+logger = logging.getLogger(__name__)
 
 # Pairs per block.  A block has max(1, _BLOCK_PAIRS // n) rows, so each of its
 # (rows, n) float64 arrays is at most 128 KB, which a core's L2 cache holds.
@@ -182,9 +185,17 @@ def forward_step(ps: ParticleSet, gamma: float, p: PotentialParams) -> ParticleS
 
 
 def run_forward(ps0: ParticleSet, gamma: float, k: int, p: PotentialParams) -> Trajectory:
-    """Run k forward steps, recording every snapshot (k + 1 in total)."""
+    """Run k forward steps, recording every snapshot (k + 1 in total).
+
+    Logs a warning when ``p.s`` lies outside [d - 2, d), where the
+    uniform-limit theory does not apply.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    d = ps0.d
+    if not d - 2 <= p.s < d:
+        logger.warning("s=%g is outside [d-2, d)=[%d, %d) where the uniform-limit theory "
+                       "applies", p.s, d - 2, d)
     snaps = [ps0]
     for j in range(k):
         try:

@@ -5,8 +5,7 @@ The MMD uses the regularized inverse-power kernel
 potential (:func:`efs.potential.repulsion`), as a V-statistic with diagonals
 included.  For s > 0 and eps > 0 this is an inverse multiquadric, strictly
 positive definite, so the statistic is nonnegative and vanishes only on
-identical multisets.  The unregularized, diagonal-excluded U-statistic is
-available behind a flag but carries no sign guarantee.
+identical multisets.
 
 Uniformity against the limiting ball law is tested with a one-sample KS
 statistic on scaled distances (reference CDF ``F(u) = u^d`` on [0, 1], with
@@ -43,37 +42,21 @@ def _kernel_mean(a: np.ndarray, b: np.ndarray, s: float, eps: float) -> float:
     return float(repulsion(q, s).mean())
 
 
-def mmd_squared(a: ParticleSet, b: ParticleSet, p: PotentialParams,
-                unregularized_ustat: bool = False) -> float:
+def mmd_squared(a: ParticleSet, b: ParticleSet, p: PotentialParams) -> float:
     """Squared MMD between two point sets under the repulsion kernel.
 
     Symmetric, translation invariant, zero on identical multisets,
-    nonnegative up to roundoff.  With ``unregularized_ustat=True`` the
-    singular kernel ``1/(s ||z||^s)`` is used with diagonals excluded; that
-    variant can go negative and exists for study only.
+    nonnegative up to roundoff.
     """
     if p.s <= 0:
         raise ValueError("the MMD kernel requires s > 0")
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-    if unregularized_ustat:
-        return (_ustat_mean(a.positions, p.s) + _ustat_mean(b.positions, p.s)
-                - 2.0 * _kernel_mean(a.positions, b.positions, p.s, 0.0))
     if p.epsilon <= 0:
         raise ValueError("the regularized MMD requires epsilon > 0")
     return (_kernel_mean(a.positions, a.positions, p.s, p.epsilon)
             + _kernel_mean(b.positions, b.positions, p.s, p.epsilon)
             - 2.0 * _kernel_mean(a.positions, b.positions, p.s, p.epsilon))
-
-
-def _ustat_mean(x: np.ndarray, s: float) -> float:
-    n = x.shape[0]
-    diff = x[:, None, :] - x[None, :, :]
-    q = np.einsum("abd,abd->ab", diff, diff)
-    np.fill_diagonal(q, 1.0)
-    k = repulsion(q, s)
-    np.fill_diagonal(k, 0.0)
-    return float(k.sum()) / (n * (n - 1))
 
 
 def ks_statistic(u: np.ndarray, cdf) -> float:

@@ -9,9 +9,10 @@ efsb layout (all little-endian):
 
 A single point cloud is snapshot_count=1; gamma/s/epsilon are 0 when the
 file does not carry a trajectory.  The binary format round-trips values
-bit-exactly; csv stores 17 significant digits (header ``x0,x1,...,label?``,
-LF line endings), which also round-trips IEEE doubles exactly through
-decimal.
+bit-exactly; csv stores 17 significant digits, which also round-trips IEEE
+doubles exactly through decimal, with LF line endings and the header
+``x0,x1,...`` plus at most one trailing integer column: ``label`` (int32) or
+``seed`` (uint64, the recorded RNG seed of a generated sample).
 """
 
 from __future__ import annotations
@@ -106,34 +107,44 @@ def read_efsb(path) -> EfsbFile:
     return EfsbFile(snapshots=snaps, gamma=gamma, s=s, epsilon=epsilon, labels=labels)
 
 
-def write_csv(path, points, labels=None):
+def write_csv(path, points, labels=None, seeds=None):
+    """Write points as ``x0..x{d-1}`` plus an optional ``label`` or ``seed`` column."""
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
+    if labels is not None and seeds is not None:
+        raise ValueError("a csv carries labels or seeds, not both")
     header = ",".join(f"x{i}" for i in range(d))
-    if labels is not None:
-        labels = np.asarray(labels)
-        header += ",label"
+    tail = labels if seeds is None else seeds
+    if tail is not None:
+        header += ",label" if seeds is None else ",seed"
     with open(path, "w", newline="\n") as f:
         f.write(header + "\n")
         for i in range(n):
             row = ",".join(f"{v:.17g}" for v in points[i])
-            if labels is not None:
-                row += f",{int(labels[i])}"
+            if tail is not None:
+                row += f",{int(tail[i])}"
             f.write(row + "\n")
 
 
+# Range and dtype of each trailing column; seeds are parsed as exact Python ints.
+_TAILS = {"label": (-2**31, 2**31, np.int32), "seed": (0, 2**64, np.uint64)}
+
+
 def read_csv(path):
-    """Returns (points, labels-or-None).  Malformed rows name their line."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    """Returns (points, labels-or-None, seeds-or-None).  Malformed rows name their line."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not a text file: {e}") from e
     if not lines:
         raise FormatError(f"{path}: empty file")
     cols = lines[0].split(",")
-    has_labels = cols and cols[-1] == "label"
-    d = len(cols) - (1 if has_labels else 0)
+    tail = cols[-1] if cols[-1] in _TAILS else None
+    d = len(cols) - (tail is not None)
     if d < 1 or any(cols[i] != f"x{i}" for i in range(d)):
         raise FormatError(f"{path}: line 1: bad header {lines[0]!r}")
-    pts, labs = [], []
+    pts, tails = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -142,17 +153,20 @@ def read_csv(path):
             raise FormatError(f"{path}: line {lineno}: expected {len(cols)} cells, got {len(cells)}")
         try:
             vals = [float(c) for c in cells[:d]]
+            if tail is not None:
+                tails.append(int(cells[-1]))
         except ValueError as e:
             raise FormatError(f"{path}: line {lineno}: {e}") from e
         if not all(np.isfinite(v) for v in vals):
             raise FormatError(f"{path}: line {lineno}: non-finite value")
+        if tail is not None:
+            lo, hi, dtype = _TAILS[tail]
+            if not lo <= tails[-1] < hi:
+                raise FormatError(f"{path}: line {lineno}: {tail} {tails[-1]} "
+                                  f"is outside {np.dtype(dtype).name}")
         pts.append(vals)
-        if has_labels:
-            try:
-                labs.append(int(cells[-1]))
-            except ValueError as e:
-                raise FormatError(f"{path}: line {lineno}: {e}") from e
     if not pts:
         raise FormatError(f"{path}: no data rows")
-    points = np.array(pts)
-    return points, (np.array(labs, dtype=np.int32) if has_labels else None)
+    column = None if tail is None else np.array(tails, dtype=_TAILS[tail][2])
+    return (np.array(pts), column if tail == "label" else None,
+            column if tail == "seed" else None)

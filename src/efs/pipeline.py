@@ -12,19 +12,16 @@ thread.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .backward import BackwardConfig, BackwardPath, _warn_config, run_backward
+from .backward import BackwardConfig, BackwardPath, _warn_capped, _warn_config, run_backward
 from .errors import DegenerateEnclosureError
 from .forward import ParticleSet, Trajectory, run_forward
 from .potential import PotentialParams
 from .rng import SplitMix64, spawn_seed
-
-logger = logging.getLogger(__name__)
 
 AUGMENTATION_MODES = ("sphere", "interpolation")
 
@@ -102,14 +99,6 @@ def interpolate_latent(ps: ParticleSet, i: int, j: int, t: float) -> np.ndarray:
     return (1.0 - t) * ps.positions[i] + t * ps.positions[j]
 
 
-def _validate_exponent(s: float, d: int):
-    if not (d - 2 <= s < d):
-        logger.warning(
-            "s=%g is outside [d-2, d)=[%d, %d) where the uniform-limit theory applies",
-            s, d - 2, d,
-        )
-
-
 def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: str,
                  mode: str, seeds: Optional[list] = None,
                  keep_paths: bool = True) -> SampleBatch:
@@ -126,12 +115,7 @@ def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: s
     except Exception as e:
         raise type(e)(f"backward stage: {e}") from e
     residuals = np.concatenate([p.inner_residuals for p in paths])
-    capped = int(np.count_nonzero(residuals > bwd.grad_tol))
-    if capped:
-        logger.warning(
-            "%d of %d inversions in the batch stopped at the T=%d cap above grad_tol=%g "
-            "(worst residual %.3g)",
-            capped, residuals.size, bwd.T, bwd.grad_tol, float(residuals.max()))
+    capped = _warn_capped(residuals, bwd, " in the batch")
     return SampleBatch(generated=np.array([p.generated for p in paths]),
                        seeds=None if seeds is None else tuple(seeds), mode=mode,
                        inner_capped=capped, paths=tuple(paths) if keep_paths else None)
@@ -151,7 +135,6 @@ def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams
         raise ValueError(f"m must be >= 1, got {m}")
     if mode not in AUGMENTATION_MODES:
         raise ValueError(f"mode must be one of {AUGMENTATION_MODES}")
-    _validate_exponent(params.s, ps0.d)
     traj = run_forward(ps0, gamma, k, params)
     batch = generate_from_trajectory(
         traj, bwd, m, mode=mode, seed=seed, snapshot_mode=snapshot_mode,

@@ -185,6 +185,25 @@ def test_forward_missing_data_file(tmp_path, capsys):
     assert code == 4
 
 
+def test_forward_label_outside_int32_is_io_error(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("x0,x1,label\n0.0,0.0,1\n1.0,0.5,99999999999\n2.0,1.0,0\n")
+    code = main(["forward", "--data", str(data), "--gamma", "0.1", "--k", "2",
+                 "--s", "1", "--out", str(tmp_path / "t.efsb")])
+    assert code == 4
+    assert "line 3: label 99999999999 is outside int32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+def test_exponent_outside_window_warns_once(tmp_path, capsys, caplog, mixture_file, command):
+    options = {"forward": ["--gamma", "0.01", "--s", "5", "--out", str(tmp_path / "t.efsb")],
+               "roundtrip": ["--T", "20", "--s", "3", "--indices", "2"]}[command]
+    with caplog.at_level(logging.WARNING, logger="efs"):
+        code = main([command, "--data", str(mixture_file), "--k", "2"] + options)
+    assert code == 0
+    assert sum("uniform-limit" in r.message for r in caplog.records) == 1
+
+
 def test_forward_singularity_exit_code(tmp_path, capsys):
     data = tmp_path / "dup.csv"
     write_csv(data, np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
@@ -263,6 +282,42 @@ def test_sample_interpolation_path(tmp_path, capsys, trajectory_file):
     assert code == 0
     assert kv["m"] == "20"
     assert len(out.read_text().splitlines()) == 21
+
+
+def test_sample_path_file_has_no_seeds_and_cannot_be_replayed(tmp_path, capsys,
+                                                              trajectory_file):
+    path = tmp_path / "path.csv"
+    code, _ = run(capsys, "sample", "--traj", str(trajectory_file),
+                  "--mode", "interp", "--i", "3", "--j", "17", "--steps", "4",
+                  "--beta", "0.1", "--T", "50", "--out", str(path))
+    assert code == 0
+    assert path.read_text().splitlines()[0] == "x0,x1"
+    code = main(["sample", "--traj", str(trajectory_file), "--replay", str(path),
+                 "--beta", "0.1", "--T", "50", "--out", str(tmp_path / "r.csv")])
+    assert code == 4
+    assert "trailing seed column" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_sample_replay_of_binary_file_is_io_error(tmp_path, capsys, trajectory_file):
+    code = main(["sample", "--traj", str(trajectory_file), "--replay", str(trajectory_file),
+                 "--beta", "0.1", "--T", "50", "--out", str(tmp_path / "r.csv")])
+    assert code == 4
+    assert "not a text file" in capsys.readouterr().err
+
+
+def test_sample_file_is_a_metrics_input(tmp_path, capsys, mixture_file, trajectory_file):
+    samples = tmp_path / "samples.csv"
+    code, _ = run(capsys, "sample", "--traj", str(trajectory_file), "--m", "10",
+                  "--beta", "0.1", "--T", "50", "--seed", "3", "--out", str(samples))
+    assert code == 0
+    code, kv = run(capsys, "metrics", "--points", str(samples))
+    assert code == 0 and "radial_ks" in kv
+    code, kv = run(capsys, "metrics", "--mmd", str(samples), str(mixture_file),
+                   "--nn", str(samples), str(mixture_file))
+    assert code == 0
+    assert float(kv["mmd2"]) > 0.0
+    assert float(kv["min_nn"]) > 0.0
 
 
 def test_sample_interp_needs_steps(tmp_path, capsys, trajectory_file):

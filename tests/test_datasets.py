@@ -3,6 +3,7 @@ import pytest
 
 from efs import LabeledPoints, ParticleSet, gaussian_mixture, load_points, save_points, swiss_roll
 from efs.datasets import SWISS_THETA_HI, SWISS_THETA_LO
+from efs.persist import write_csv
 
 
 # ---------------------------------------------------------------- mixture
@@ -129,8 +130,19 @@ def test_load_high_dimensional_latents(tmp_path):
 
 def test_format_inference(tmp_path):
     lp = gaussian_mixture(5, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\.csv or \.efsb"):
         save_points(lp, tmp_path / "data.bin")
-    save_points(lp, tmp_path / "data.bin", fmt="efsb")
-    back = load_points(tmp_path / "data.bin", fmt="efsb")
-    np.testing.assert_array_equal(back.points.positions, lp.points.positions)
+    assert not (tmp_path / "data.bin").exists()
+    save_points(lp, tmp_path / "data.efsb")
+    (tmp_path / "data.efsb").rename(tmp_path / "data.bin")
+    with pytest.raises(ValueError, match=r"\.csv or \.efsb"):
+        load_points(tmp_path / "data.bin")
+
+
+def test_load_samples_csv_drops_seed_column(tmp_path):
+    pts = np.array([[0.5, -1.0], [2.0, 3.0]])
+    path = tmp_path / "samples.csv"
+    write_csv(path, pts, seeds=[2**64 - 1, 7])
+    back = load_points(path)
+    np.testing.assert_array_equal(back.points.positions, pts)
+    assert back.labels is None

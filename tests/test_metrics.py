@@ -82,16 +82,6 @@ def test_mmd_rejects_s_zero_and_dimension_mismatch():
         mmd_squared(a, a, PotentialParams(1.0, 0.0))
 
 
-def test_mmd_unregularized_ustat_variant():
-    a = ParticleSet([[0.0, 0.0], [2.0, 0.0]])
-    b = ParticleSet([[0.0, 1.0], [2.0, 1.0]])
-    # hand evaluation with K = 1/(s * ||z||^s), s=2, diagonals excluded:
-    # within-A = within-B = 1/(2*4) = 0.125; across pairs have ||z||^2 in
-    # {1, 5, 5, 1} so cross mean = (1/2)*(1/1 + 1/5)/2 = 0.3
-    v = mmd_squared(a, b, PotentialParams(2.0, 0.0), unregularized_ustat=True)
-    assert v == pytest.approx(0.125 + 0.125 - 2 * 0.3)
-
-
 # ---------------------------------------------------------------- KS / Kuiper
 
 def test_ks_statistic_single_point():

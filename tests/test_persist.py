@@ -99,9 +99,38 @@ def test_csv_roundtrip_exact(tmp_path):
     pts = random_matrix(20, 3, seed=5) * 1e-7  # exercise tiny magnitudes
     path = tmp_path / "t.csv"
     write_csv(path, pts, labels=np.arange(20) % 2)
-    back, labels = read_csv(path)
+    back, labels, seeds = read_csv(path)
     np.testing.assert_array_equal(back, pts)
     np.testing.assert_array_equal(labels, np.arange(20) % 2)
+    assert labels.dtype == np.int32
+    assert seeds is None
+
+
+def test_csv_seed_roundtrip_exact_above_int64(tmp_path):
+    pts = random_matrix(4, 2, seed=6)
+    seeds = [2**64 - 1, 2**63, 2**63 + 1, 0]  # none survives a float64 or int64 parse
+    path = tmp_path / "samples.csv"
+    write_csv(path, pts, seeds=seeds)
+    assert path.read_text().splitlines()[0] == "x0,x1,seed"
+    back, labels, got = read_csv(path)
+    np.testing.assert_array_equal(back, pts)
+    assert labels is None
+    assert got.dtype == np.uint64
+    assert got.tolist() == seeds
+
+
+def test_csv_rejects_labels_and_seeds_together(tmp_path):
+    with pytest.raises(ValueError, match="not both"):
+        write_csv(tmp_path / "t.csv", np.zeros((1, 2)), labels=[0], seeds=[0])
+
+
+@pytest.mark.parametrize("column, value", [("label", 99999999999), ("label", -2**31 - 1),
+                                           ("seed", 2**64), ("seed", -1)])
+def test_csv_out_of_range_column_names_line(tmp_path, column, value):
+    path = tmp_path / "t.csv"
+    path.write_text(f"x0,x1,{column}\n1.0,2.0,0\n3.0,4.0,{value}\n")
+    with pytest.raises(FormatError, match=f"line 3: {column} {value} is outside"):
+        read_csv(path)
 
 
 def test_csv_header_and_line_endings(tmp_path):
@@ -137,6 +166,13 @@ def test_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x0,x1\nfoo,2.0\n")
     with pytest.raises(FormatError, match="line 2"):
+        read_csv(path)
+
+
+def test_csv_binary_file_is_format_error(tmp_path):
+    path = tmp_path / "t.csv"
+    write_efsb(path, [random_matrix(3, 2)])
+    with pytest.raises(FormatError, match="not a text file"):
         read_csv(path)
 
 

@@ -235,9 +235,9 @@ def test_exponent_window_warning(caplog):
     import logging
 
     ps = random_set(20, 2, seed=4)
-    with caplog.at_level(logging.WARNING, logger="efs.pipeline"):
+    with caplog.at_level(logging.WARNING, logger="efs.forward"):
         efs_generate(ps, 0.01, 1, PotentialParams(5.0, 1e-3), SMALL_BWD, m=1, seed=0)
-    assert any("uniform-limit" in r.message for r in caplog.records)
+    assert sum("uniform-limit" in r.message for r in caplog.records) == 1
 
 
 def test_convexity_guard_warned_once_per_batch(caplog):
