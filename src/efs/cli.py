@@ -109,8 +109,7 @@ def cmd_forward(args) -> int:
 
 def cmd_sample(args) -> int:
     traj, labels = _read_trajectory(args.traj)
-    gamma = traj.gamma if args.gamma is None else args.gamma
-    bwd = BackwardConfig(gamma=gamma, beta=args.beta, T=args.T, grad_tol=args.grad_tol)
+    bwd = BackwardConfig(gamma=traj.gamma, beta=args.beta, T=args.T, grad_tol=args.grad_tol)
 
     if args.mode == "interp" and args.i is not None:
         if args.j is None or args.steps is None:
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", required=True)
     p.add_argument("--mode", choices=["sphere", "interp"], default="sphere")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--gamma", type=float, help="backward gamma (defaults to the trajectory's)")
     p.add_argument("--beta", type=float)
     p.add_argument("--T", type=int)
     p.add_argument("--grad-tol", type=float, default=1e-10)
@@ -253,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--steps", type=int)
-    p.add_argument("--replay", help="samples csv whose seed column to replay")
+    p.add_argument("--replay",
+                   help="samples csv whose seed column to replay; the file records only seeds, "
+                        "so give the --mode, --ball, --snapshot-mode, --beta, --T and "
+                        "--grad-tol that made it")
     p.add_argument("--out", required=True)
     p.add_argument("--svg")
 

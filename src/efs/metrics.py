@@ -1,5 +1,10 @@
 """Evaluation metrics: Riesz-kernel MMD, uniformity tests, novelty statistics.
 
+The MMD and the nearest-neighbor distances read the squared distances
+between two point sets from one generator of row blocks, sized like the
+forward pass's pair blocks (``efs.forward._BLOCK_PAIRS``), so their memory
+is one block's whatever the sizes of the sets.
+
 The MMD uses the regularized inverse-power kernel
 ``K(z) = 1 / (s * (||z||^2 + eps)^(s/2))``, the repulsive part of the pair
 potential (:func:`efs.potential.repulsion`), as a V-statistic with diagonals
@@ -16,13 +21,13 @@ center.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .forward import ParticleSet, Trajectory, interaction_energy
+from .forward import _BLOCK_PAIRS, ParticleSet, Trajectory, interaction_energy
 from .pipeline import Enclosure, estimate_enclosure
 from .potential import PotentialParams, repulsion
 
@@ -36,10 +41,28 @@ class UniformityReport:
     enclosure: Enclosure
 
 
+def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (row slice of ``a``, squared distances of those rows to all of ``b``).
+
+    A block has max(1, ``_BLOCK_PAIRS`` // len(b)) rows.  The squared
+    distance sums the coordinates' squared differences in order 0..d-1.
+    """
+    cols = np.ascontiguousarray(b.T)
+    step = max(1, _BLOCK_PAIRS // b.shape[0])
+    for i0 in range(0, a.shape[0], step):
+        rows = slice(i0, min(i0 + step, a.shape[0]))
+        t = a[rows, 0, None] - cols[0]
+        sq = t * t
+        for k in range(1, a.shape[1]):
+            t = a[rows, k, None] - cols[k]
+            sq += t * t
+        yield rows, sq
+
+
 def _kernel_mean(a: np.ndarray, b: np.ndarray, s: float, eps: float) -> float:
-    diff = a[:, None, :] - b[None, :, :]
-    q = np.einsum("abd,abd->ab", diff, diff) + eps
-    return float(repulsion(q, s).mean())
+    # fsum adds the block sums exactly rounded, so the block count adds no error
+    sums = [float(repulsion(sq + eps, s).sum()) for _rows, sq in _sq_distance_blocks(a, b)]
+    return math.fsum(sums) / (a.shape[0] * b.shape[0])
 
 
 def mmd_squared(a: ParticleSet, b: ParticleSet, p: PotentialParams) -> float:
@@ -59,14 +82,17 @@ def mmd_squared(a: ParticleSet, b: ParticleSet, p: PotentialParams) -> float:
             - 2.0 * _kernel_mean(a.positions, b.positions, p.s, p.epsilon))
 
 
+def _ecdf_gaps(f: np.ndarray):
+    """(D+, D-) of an ECDF against the sorted reference CDF values ``f``."""
+    n = f.size
+    return (float(np.max(np.arange(1, n + 1) / n - f)),
+            float(np.max(f - np.arange(0, n) / n)))
+
+
 def ks_statistic(u: np.ndarray, cdf) -> float:
     """One-sample KS distance of samples ``u`` to the distribution ``cdf``."""
     u = np.sort(np.asarray(u, dtype=np.float64))
-    n = u.size
-    f = cdf(u)
-    d_plus = float(np.max(np.arange(1, n + 1) / n - f))
-    d_minus = float(np.max(f - np.arange(0, n) / n))
-    return max(d_plus, d_minus, 0.0)
+    return max(*_ecdf_gaps(cdf(u)), 0.0)
 
 
 def kuiper_statistic(angles: np.ndarray) -> float:
@@ -75,10 +101,7 @@ def kuiper_statistic(angles: np.ndarray) -> float:
     D+ + D- of the wrapped empirical CDF; invariant under rotation and in
     [0, 1].
     """
-    u = np.sort(np.mod(angles, 2.0 * np.pi) / (2.0 * np.pi))
-    n = u.size
-    d_plus = float(np.max(np.arange(1, n + 1) / n - u))
-    d_minus = float(np.max(u - np.arange(0, n) / n))
+    d_plus, d_minus = _ecdf_gaps(np.sort(np.mod(angles, 2.0 * np.pi) / (2.0 * np.pi)))
     return max(d_plus, 0.0) + max(d_minus, 0.0)
 
 
@@ -101,6 +124,21 @@ def uniformity_report(ps: ParticleSet) -> UniformityReport:
     return UniformityReport(radial_ks=radial, angular_ks=angular, enclosure=enc)
 
 
+def _nn_distances(a: np.ndarray, b: np.ndarray, skip_self: bool) -> np.ndarray:
+    """Distance from each row of ``a`` to its nearest row of ``b``.
+
+    With ``skip_self`` (``a`` is ``b``) a row's own pair is left out, so a
+    duplicated point is at distance 0 and the point of a one-point set at inf.
+    """
+    out = np.empty(a.shape[0])
+    for rows, sq in _sq_distance_blocks(a, b):
+        if skip_self:
+            i = np.arange(rows.start, rows.stop)
+            sq[i - rows.start, i] = np.inf
+        out[rows] = sq.min(axis=1)
+    return np.sqrt(out)
+
+
 def nn_novelty(generated: ParticleSet, training: ParticleSet):
     """Nearest-neighbor novelty of generated points against the training set.
 
@@ -109,10 +147,9 @@ def nn_novelty(generated: ParticleSet, training: ParticleSet):
     """
     if generated.d != training.d:
         raise ValueError(f"dimension mismatch: {generated.d} vs {training.d}")
-    tree = cKDTree(training.positions)
-    dist, _ = tree.query(generated.positions, k=1)
-    self_dist, _ = tree.query(training.positions, k=2)
-    return float(dist.min()), float(dist.mean()), float(self_dist[:, 1].mean())
+    dist = _nn_distances(generated.positions, training.positions, skip_self=False)
+    self_dist = _nn_distances(training.positions, training.positions, skip_self=True)
+    return float(dist.min()), float(dist.mean()), float(self_dist.mean())
 
 
 def energy_trace(traj: Trajectory):

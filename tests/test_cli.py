@@ -1,8 +1,13 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import efs
 from efs import ParticleSet, PotentialParams, interaction_energy
 from efs.cli import load_config_file, main
 from efs.persist import read_csv, read_efsb, write_csv, write_efsb
@@ -86,7 +91,7 @@ def test_one_config_serves_forward_and_sample(tmp_path, capsys, mixture_file):
                    "--m", "2", "--out", str(a))
     assert code == 0
     assert kv["m"] == "2"
-    code, _ = run(capsys, "sample", "--traj", str(traj), "--m", "2", "--gamma", "0.1",
+    code, _ = run(capsys, "sample", "--traj", str(traj), "--m", "2",
                   "--beta", "0.1", "--T", "50", "--out", str(b))
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
@@ -98,6 +103,15 @@ def test_config_ignores_keys_that_are_not_options(tmp_path, capsys, mixture_file
     code, _ = run(capsys, "forward", "--config", str(cfg), "--data", str(mixture_file),
                   "--out", str(tmp_path / "t.efsb"))
     assert code == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; keep scipy from creeping back
+    src = str(Path(efs.__file__).resolve().parents[1])
+    code = "import sys, efs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- dataset

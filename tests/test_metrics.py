@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from efs import (
     ParticleSet,
     PotentialParams,
     energy_trace,
+    metrics,
     mmd_squared,
     nn_novelty,
     run_forward,
     uniformity_report,
 )
 from efs.metrics import ks_statistic, kuiper_statistic
+from efs.potential import repulsion
 from efs.rng import SplitMix64
 
 from conftest import random_rotation
@@ -80,6 +84,28 @@ def test_mmd_rejects_s_zero_and_dimension_mismatch():
         mmd_squared(a, random_set(5, 3), PotentialParams(1.0, 0.1))
     with pytest.raises(ValueError):
         mmd_squared(a, a, PotentialParams(1.0, 0.0))
+
+
+def full_kernel_mean(a, b, p):
+    """The (a x b x d) difference-tensor kernel mean, as a reference."""
+    diff = a.positions[:, None, :] - b.positions[None, :, :]
+    return float(repulsion(np.einsum("abd,abd->ab", diff, diff) + p.epsilon, p.s).mean())
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_mmd_blocked_matches_full_matrix(s):
+    # 600 and 500 rows against up to 600 columns span many row blocks
+    p = PotentialParams(s, 1e-3)
+    a = random_set(600, 2, seed=11)
+    b = ParticleSet(random_set(500, 2, seed=12, scale=1.5).positions + np.array([0.5, 0.0]))
+    kaa, kbb, kab = (full_kernel_mean(a, a, p), full_kernel_mean(b, b, p),
+                     full_kernel_mean(a, b, p))
+    for x, y, ref in ((a, a, kaa), (b, b, kbb), (a, b, kab)):
+        got = metrics._kernel_mean(x.positions, y.positions, p.s, p.epsilon)
+        assert got == pytest.approx(ref, rel=1e-15, abs=0)
+    # the three terms' errors add, so bound the MMD by their total size
+    assert mmd_squared(a, b, p) == pytest.approx(kaa + kbb - 2.0 * kab, rel=0,
+                                                 abs=1e-15 * (kaa + kbb + 2.0 * kab))
 
 
 # ---------------------------------------------------------------- KS / Kuiper
@@ -161,6 +187,41 @@ def test_novelty_three_four_five():
     min_nn, mean_nn, _ = nn_novelty(gen, train)
     assert min_nn == pytest.approx(5.0)
     assert mean_nn == pytest.approx(5.0)
+
+
+def nn_reference(generated, training):
+    """nn_novelty by plain pairwise loops, coordinates summed in order."""
+    def nearest(x, points, skip):
+        best = math.inf
+        for j, y in enumerate(points):
+            if j != skip:
+                sq = 0.0
+                for xk, yk in zip(x, y):
+                    sq += (xk - yk) * (xk - yk)
+                best = min(best, sq)
+        return math.sqrt(best)
+
+    train = training.positions.tolist()
+    dist = np.array([nearest(x, train, None) for x in generated.positions.tolist()])
+    self_dist = np.array([nearest(x, train, i) for i, x in enumerate(train)])
+    return float(dist.min()), float(dist.mean()), float(self_dist.mean())
+
+
+@pytest.mark.parametrize("block_pairs", [metrics._BLOCK_PAIRS, 1])
+@pytest.mark.parametrize("n_train", [1, 2, 300])
+def test_novelty_matches_pairwise_loops(monkeypatch, block_pairs, n_train):
+    # 300 training points span several row blocks (one row each with
+    # block_pairs=1); rows 3, 5 and 7 coincide, so their own NN distance is 0
+    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", block_pairs)
+    train = random_set(n_train, 2, seed=9).positions.copy()
+    if n_train > 7:
+        train[5] = train[7] = train[3]
+    train = ParticleSet(train)
+    gen = random_set(40, 2, seed=10, scale=1.2)
+    got = nn_novelty(gen, train)
+    assert got == nn_reference(gen, train)
+    if n_train == 1:
+        assert got[2] == math.inf
 
 
 def test_novelty_dimension_mismatch():
