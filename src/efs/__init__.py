@@ -1,5 +1,12 @@
 """Estimation-free sampling: deterministic particle transport to and from
-the uniform ball, with proximal inversion for data generation."""
+the forward pass's limit law on a ball, with proximal inversion for data
+generation.
+
+For s = d - 2 the limit law is the uniform ball of radius 1 about the center
+of mass.  For d - 2 < s < d it is a non-uniform profile proportional to
+(R^2 - |x|^2)^((s - d + 2) / 2) on a ball of radius R; the reference
+mixture (s = 1, d = 2) is of this kind (Fetecau, Huang & Kolokolnikov 2011;
+Carrillo & Huang 2017)."""
 
 from .backward import (
     BackwardConfig,
@@ -40,7 +47,6 @@ from .pipeline import (
 from .potential import (
     PotentialParams,
     pair_hessian_spectral_bound,
-    paper_prox_step_bound,
     potential_gradient,
     potential_value,
 )
@@ -78,7 +84,6 @@ __all__ = [
     "mmd_squared",
     "nn_novelty",
     "pair_hessian_spectral_bound",
-    "paper_prox_step_bound",
     "potential_gradient",
     "potential_value",
     "prox_objective",

@@ -6,10 +6,13 @@ per-particle force is
     Delta_i = (1 / (n - 1)) * sum_{a != i} grad W(x_i - x_a)
 
 and one forward step moves every particle simultaneously (Jacobi update)
-from the old snapshot: ``x_i <- x_i - gamma * Delta_i``.  Pairwise work is
-done in blocks of rows, with one 2-D difference block per coordinate.  A
-block holds about ``_BLOCK_PAIRS`` pairs, so each of its float64 arrays is at
-most 128 KB and stays in a core's L2 cache.  Each row's inner sum is a fixed-order numpy reduction over the full
+from the old snapshot: ``x_i <- x_i - gamma * Delta_i``.
+
+The all-pairs blocks of the forward pass and of :mod:`efs.metrics` come from
+one generator, :func:`pair_blocks`.  It yields blocks of rows with one 2-D
+difference block per coordinate.  A block holds about ``_BLOCK_PAIRS`` pairs,
+so each of its float64 arrays is at most 128 KB and stays in a core's L2
+cache.  Each row's inner sum is a fixed-order numpy reduction over the full
 index range, so forces are independent of block size.
 
 The energy E_n is computed from the same pair blocks as the forces:
@@ -43,9 +46,9 @@ class ParticleSet:
     array is frozen (read-only) so sets can be shared across threads.
 
     ``_energy`` caches E_n per :class:`PotentialParams`.  It is filled by
-    :func:`forward_gradient` and read by :func:`interaction_energy`; E_n is a
-    pure function of the read-only positions and the params, so a cached
-    value never goes stale.
+    :func:`forward_gradient` and :func:`interaction_energy` and read by the
+    latter; E_n is a pure function of the read-only positions and the params,
+    so a cached value never goes stale.
     """
 
     positions: np.ndarray
@@ -104,51 +107,71 @@ class Trajectory:
         return self.snapshots[0].d
 
 
-def _pair_blocks(x: np.ndarray, eps: float):
-    """Yield (row slice, self-pair index, coordinate differences, squared distances, q).
+def pair_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (i0, i1, t, sq) for rows ``i0:i1`` of ``a`` against all of ``b``.
 
-    The coordinate differences are d blocks ``t[k] = x[i0:i1, k, None] -
-    x[None, :, k]``, each of shape (rows, n), with rows = ``_BLOCK_PAIRS //
-    n`` (at least 1).  ``q`` is the regularized squared distance with its
-    self-pair entries set to 1, so the potential and its coefficient are
-    finite there; callers zero what the self-pair must not contribute.
-    Coincident distinct pairs with eps=0 raise.
+    ``t`` holds one difference block ``t[k] = a[i0:i1, k, None] - b[None, :,
+    k]`` of shape (rows, len(b)) per coordinate k, with rows =
+    ``_BLOCK_PAIRS // len(b)`` (at least 1), and ``sq`` sums their squares in
+    coordinate order 0..d-1.  The next block overwrites ``t``, so a caller is
+    done with a block's differences when it asks for the next.
     """
-    n = x.shape[0]
-    cols = np.ascontiguousarray(x.T)
-    step = max(1, _BLOCK_PAIRS // n)
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        t = [c[i0:i1, None] - c[None, :] for c in cols]
+    cols = np.ascontiguousarray(b.T)
+    step = max(1, _BLOCK_PAIRS // b.shape[0])
+    # The difference blocks reuse one array per coordinate.  Fresh arrays per
+    # block let malloc hand heap pages back and fault them in again, which
+    # made the MMD ~50 % slower.
+    bufs = [np.empty((min(step, a.shape[0]), b.shape[0])) for _ in cols]
+    for i0 in range(0, a.shape[0], step):
+        i1 = min(i0 + step, a.shape[0])
+        t = [buf[:i1 - i0] for buf in bufs]
+        for k, c in enumerate(cols):
+            np.subtract(a[i0:i1, k, None], c, out=t[k])
         sq = t[0] * t[0]
         for tk in t[1:]:
             sq += tk * tk
+        yield i0, i1, t, sq
+
+
+def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
+    """E_n of ``ps`` from the blocks of ``pair_blocks(x, x)``, cached on ``ps``.
+
+    With ``forces``, each block's rows of the unnormalized forces are written
+    there before its energy is summed.  ``q`` is the regularized squared
+    distance with its self-pair entries set to 1, so the potential and its
+    coefficient are finite there.  Coincident distinct pairs with eps=0 raise.
+    """
+    x = ps.positions
+    total = 0.0
+    for i0, i1, t, sq in pair_blocks(x, x):
         rows = np.arange(i0, i1)
         diag = (rows - i0, rows)
-        q = sq + eps
+        q = sq + p.epsilon
         q[diag] = 1.0
-        if eps == 0.0 and np.any(q == 0.0):
+        if p.epsilon == 0.0 and np.any(q == 0.0):
             raise SingularityError("coincident particles with epsilon=0")
-        yield i0, i1, diag, t, sq, q
+        if forces is not None:
+            # q = 1 on the self-pair makes its coefficient 0, and t is 0 there
+            coef = gradient_coef(q, p.s)
+            for k, tk in enumerate(t):
+                forces[i0:i1, k] = np.einsum("ab,ab->a", coef, tk)
+        w = pair_value(sq, q, p.s)
+        w[diag] = 0.0
+        total += float(w.sum())
+    ps._energy[p] = total / (ps.n * (ps.n - 1))
+    return ps._energy[p]
 
 
 def interaction_energy(ps: ParticleSet, p: PotentialParams) -> float:
     """Average pair energy over all ordered distinct pairs (the objective E_n).
 
-    Returns the value cached by :func:`forward_gradient` when there is one.
+    Returns the cached value when there is one.
     """
-    x = ps.positions
-    n = ps.n
-    if n < 2:
+    if ps.n < 2:
         raise ValueError("interaction energy needs at least 2 particles")
     if p in ps._energy:
         return ps._energy[p]
-    total = 0.0
-    for _i0, _i1, diag, _t, sq, q in _pair_blocks(x, p.epsilon):
-        w = pair_value(sq, q, p.s)
-        w[diag] = 0.0
-        total += float(w.sum())
-    return total / (n * (n - 1))
+    return _self_pair_pass(ps, p)
 
 
 def forward_gradient(ps: ParticleSet, p: PotentialParams) -> np.ndarray:
@@ -157,22 +180,11 @@ def forward_gradient(ps: ParticleSet, p: PotentialParams) -> np.ndarray:
     Also caches E_n on ``ps`` (see :class:`ParticleSet`), summed from the
     same blocks in the same order as :func:`interaction_energy`.
     """
-    x = ps.positions
-    n = ps.n
-    if n < 2:
+    if ps.n < 2:
         raise ValueError("forces need at least 2 particles")
-    out = np.empty_like(x)
-    total = 0.0
-    for i0, i1, diag, t, sq, q in _pair_blocks(x, p.epsilon):
-        # q = 1 on the self-pair makes its coefficient 0, and t is 0 there
-        coef = gradient_coef(q, p.s)
-        for k, tk in enumerate(t):
-            out[i0:i1, k] = np.einsum("ab,ab->a", coef, tk)
-        w = pair_value(sq, q, p.s)
-        w[diag] = 0.0
-        total += float(w.sum())
-    ps._energy[p] = total / (n * (n - 1))
-    out /= n - 1
+    out = np.empty_like(ps.positions)
+    _self_pair_pass(ps, p, out)
+    out /= ps.n - 1
     return out
 
 
@@ -187,8 +199,8 @@ def forward_step(ps: ParticleSet, gamma: float, p: PotentialParams) -> ParticleS
 def run_forward(ps0: ParticleSet, gamma: float, k: int, p: PotentialParams) -> Trajectory:
     """Run k forward steps, recording every snapshot (k + 1 in total).
 
-    Logs a warning when ``p.s`` lies outside [d - 2, d), where the
-    uniform-limit theory does not apply.
+    Logs a warning when ``p.s`` lies outside [d - 2, d), where the cited
+    limit-law theory (see :mod:`efs`) does not apply.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

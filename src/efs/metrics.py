@@ -1,9 +1,9 @@
 """Evaluation metrics: Riesz-kernel MMD, uniformity tests, novelty statistics.
 
 The MMD and the nearest-neighbor distances read the squared distances
-between two point sets from one generator of row blocks, sized like the
-forward pass's pair blocks (``efs.forward._BLOCK_PAIRS``), so their memory
-is one block's whatever the sizes of the sets.
+between two point sets from the forward pass's pair-block generator,
+:func:`efs.forward.pair_blocks`, so their memory is one block's whatever the
+sizes of the sets.
 
 The MMD uses the regularized inverse-power kernel
 ``K(z) = 1 / (s * (||z||^2 + eps)^(s/2))``, the repulsive part of the pair
@@ -12,11 +12,14 @@ included.  For s > 0 and eps > 0 this is an inverse multiquadric, strictly
 positive definite, so the statistic is nonnegative and vanishes only on
 identical multisets.
 
-Uniformity against the limiting ball law is tested with a one-sample KS
-statistic on scaled distances (reference CDF ``F(u) = u^d`` on [0, 1], with
-the scale set to the maximum distance so the support matches), plus, in two
-dimensions, a rotation-invariant Kuiper statistic on angles about the
-center.
+Uniformity on a ball is tested with a one-sample KS statistic on scaled
+distances (reference CDF ``F(u) = u^d`` on [0, 1], with the scale set to the
+maximum distance so the support matches), plus, in two dimensions, a
+rotation-invariant Kuiper statistic on angles about the center.  The uniform
+ball is the forward pass's limit law only for s = d - 2; for d - 2 < s < d
+the limit is the non-uniform profile proportional to
+(R^2 - |x|^2)^((s - d + 2) / 2), so there the statistics measure the
+distance from uniformity, not from the limit law.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import _BLOCK_PAIRS, ParticleSet, Trajectory, interaction_energy
+from .forward import ParticleSet, Trajectory, interaction_energy, pair_blocks
 from .pipeline import Enclosure, estimate_enclosure
 from .potential import PotentialParams, repulsion
 
@@ -41,27 +44,9 @@ class UniformityReport:
     enclosure: Enclosure
 
 
-def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (row slice of ``a``, squared distances of those rows to all of ``b``).
-
-    A block has max(1, ``_BLOCK_PAIRS`` // len(b)) rows.  The squared
-    distance sums the coordinates' squared differences in order 0..d-1.
-    """
-    cols = np.ascontiguousarray(b.T)
-    step = max(1, _BLOCK_PAIRS // b.shape[0])
-    for i0 in range(0, a.shape[0], step):
-        rows = slice(i0, min(i0 + step, a.shape[0]))
-        t = a[rows, 0, None] - cols[0]
-        sq = t * t
-        for k in range(1, a.shape[1]):
-            t = a[rows, k, None] - cols[k]
-            sq += t * t
-        yield rows, sq
-
-
 def _kernel_mean(a: np.ndarray, b: np.ndarray, s: float, eps: float) -> float:
     # fsum adds the block sums exactly rounded, so the block count adds no error
-    sums = [float(repulsion(sq + eps, s).sum()) for _rows, sq in _sq_distance_blocks(a, b)]
+    sums = [float(repulsion(sq + eps, s).sum()) for *_, sq in pair_blocks(a, b)]
     return math.fsum(sums) / (a.shape[0] * b.shape[0])
 
 
@@ -106,7 +91,7 @@ def kuiper_statistic(angles: np.ndarray) -> float:
 
 
 def uniformity_report(ps: ParticleSet) -> UniformityReport:
-    """Empirical test of the uniform-ball limit law.
+    """Empirical test of uniformity on a ball (the limit law for s = d - 2).
 
     Radial: KS of (distance to center) / (max distance) against F(u) = u^d.
     Angular (d = 2 only): Kuiper statistic of angles about the center.
@@ -131,11 +116,11 @@ def _nn_distances(a: np.ndarray, b: np.ndarray, skip_self: bool) -> np.ndarray:
     duplicated point is at distance 0 and the point of a one-point set at inf.
     """
     out = np.empty(a.shape[0])
-    for rows, sq in _sq_distance_blocks(a, b):
+    for i0, i1, _t, sq in pair_blocks(a, b):
         if skip_self:
-            i = np.arange(rows.start, rows.stop)
-            sq[i - rows.start, i] = np.inf
-        out[rows] = sq.min(axis=1)
+            i = np.arange(i0, i1)
+            sq[i - i0, i] = np.inf
+        out[i0:i1] = sq.min(axis=1)
     return np.sqrt(out)
 
 

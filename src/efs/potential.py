@@ -105,16 +105,3 @@ def pair_hessian_spectral_bound(p: PotentialParams) -> float:
         raise SingularityError("curvature bound requires epsilon > 0")
     return 1.0 + (p.s + 3.0) * p.epsilon ** (-(p.s + 2.0) / 2.0)
 
-
-def paper_prox_step_bound(n: int, p: PotentialParams) -> float:
-    """Sufficient step-size bound for the joint proximal inversion problem.
-
-    Returns ``(n - 1) / (1 + s^2 * eps^(-s/2 - 1))``.  Exposed as a
-    diagnostic only; the operational convexity guard for the backward pass is
-    ``gamma < 1 / pair_hessian_spectral_bound``.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if p.epsilon <= 0:
-        raise SingularityError("proximal step bound requires epsilon > 0")
-    return (n - 1) / (1.0 + p.s**2 * p.epsilon ** (-p.s / 2.0 - 1.0))

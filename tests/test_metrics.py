@@ -8,6 +8,7 @@ from efs import (
     ParticleSet,
     PotentialParams,
     energy_trace,
+    forward,
     metrics,
     mmd_squared,
     nn_novelty,
@@ -92,20 +93,24 @@ def full_kernel_mean(a, b, p):
     return float(repulsion(np.einsum("abd,abd->ab", diff, diff) + p.epsilon, p.s).mean())
 
 
+@pytest.mark.parametrize("block_pairs", [forward._BLOCK_PAIRS, 1])
 @pytest.mark.parametrize("s", [0.5, 1.0])
-def test_mmd_blocked_matches_full_matrix(s):
-    # 600 and 500 rows against up to 600 columns span many row blocks
+def test_mmd_blocked_matches_full_matrix(monkeypatch, s, block_pairs):
+    # 600 and 500 rows against up to 600 columns span many row blocks (one
+    # row each with block_pairs=1)
+    monkeypatch.setattr(forward, "_BLOCK_PAIRS", block_pairs)
     p = PotentialParams(s, 1e-3)
-    a = random_set(600, 2, seed=11)
-    b = ParticleSet(random_set(500, 2, seed=12, scale=1.5).positions + np.array([0.5, 0.0]))
-    kaa, kbb, kab = (full_kernel_mean(a, a, p), full_kernel_mean(b, b, p),
-                     full_kernel_mean(a, b, p))
-    for x, y, ref in ((a, a, kaa), (b, b, kbb), (a, b, kab)):
-        got = metrics._kernel_mean(x.positions, y.positions, p.s, p.epsilon)
-        assert got == pytest.approx(ref, rel=1e-15, abs=0)
-    # the three terms' errors add, so bound the MMD by their total size
-    assert mmd_squared(a, b, p) == pytest.approx(kaa + kbb - 2.0 * kab, rel=0,
-                                                 abs=1e-15 * (kaa + kbb + 2.0 * kab))
+    for d in (1, 2, 3):
+        a = random_set(600, d, seed=11)
+        b = ParticleSet(random_set(500, d, seed=12, scale=1.5).positions + 0.5)
+        kaa, kbb, kab = (full_kernel_mean(a, a, p), full_kernel_mean(b, b, p),
+                         full_kernel_mean(a, b, p))
+        for x, y, ref in ((a, a, kaa), (b, b, kbb), (a, b, kab)):
+            got = metrics._kernel_mean(x.positions, y.positions, p.s, p.epsilon)
+            assert got == pytest.approx(ref, rel=1e-15, abs=0)
+        # the three terms' errors add, so bound the MMD by their total size
+        assert mmd_squared(a, b, p) == pytest.approx(kaa + kbb - 2.0 * kab, rel=0,
+                                                     abs=1e-15 * (kaa + kbb + 2.0 * kab))
 
 
 # ---------------------------------------------------------------- KS / Kuiper
@@ -207,21 +212,22 @@ def nn_reference(generated, training):
     return float(dist.min()), float(dist.mean()), float(self_dist.mean())
 
 
-@pytest.mark.parametrize("block_pairs", [metrics._BLOCK_PAIRS, 1])
+@pytest.mark.parametrize("block_pairs", [forward._BLOCK_PAIRS, 1])
 @pytest.mark.parametrize("n_train", [1, 2, 300])
 def test_novelty_matches_pairwise_loops(monkeypatch, block_pairs, n_train):
     # 300 training points span several row blocks (one row each with
     # block_pairs=1); rows 3, 5 and 7 coincide, so their own NN distance is 0
-    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", block_pairs)
-    train = random_set(n_train, 2, seed=9).positions.copy()
-    if n_train > 7:
-        train[5] = train[7] = train[3]
-    train = ParticleSet(train)
-    gen = random_set(40, 2, seed=10, scale=1.2)
-    got = nn_novelty(gen, train)
-    assert got == nn_reference(gen, train)
-    if n_train == 1:
-        assert got[2] == math.inf
+    monkeypatch.setattr(forward, "_BLOCK_PAIRS", block_pairs)
+    for d in (1, 2, 3):
+        train = random_set(n_train, d, seed=9).positions.copy()
+        if n_train > 7:
+            train[5] = train[7] = train[3]
+        train = ParticleSet(train)
+        gen = random_set(40, d, seed=10, scale=1.2)
+        got = nn_novelty(gen, train)
+        assert got == nn_reference(gen, train)
+        if n_train == 1:
+            assert got[2] == math.inf
 
 
 def test_novelty_dimension_mismatch():

@@ -8,7 +8,6 @@ from efs import (
     forward_gradient,
     interaction_energy,
     pair_hessian_spectral_bound,
-    paper_prox_step_bound,
     potential_gradient,
     potential_value,
 )
@@ -151,20 +150,6 @@ def test_fd_hessian_below_bound():
             z = rng.normals(2) * (0.01 + 3.0 * rng.uniform())
             H = fd_hessian(lambda v: potential_value(v, p), z)
             assert np.linalg.norm(H, ord=2) <= bound * (1.0 + 1e-5)
-
-
-def test_prox_step_bound_examples():
-    assert paper_prox_step_bound(2, PotentialParams(1.0, 1.0)) == pytest.approx(0.5)
-    assert paper_prox_step_bound(400, PotentialParams(1.0, 0.001)) == pytest.approx(
-        0.01262, rel=1e-3)
-    assert paper_prox_step_bound(2, PotentialParams(0.0, 1.0)) == pytest.approx(1.0)
-
-
-def test_prox_step_bound_validation():
-    with pytest.raises(ValueError):
-        paper_prox_step_bound(1, PotentialParams(1.0, 1.0))
-    with pytest.raises(SingularityError):
-        paper_prox_step_bound(2, PotentialParams(1.0, 0.0))
 
 
 # ---------------------------------------------------------------- array sites
