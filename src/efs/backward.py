@@ -19,6 +19,13 @@ no extra gradient evaluation (g_c is the next iteration's gradient).  The
 loop is capped at T iterations with early stopping on the gradient norm.
 Walking the inversions from snapshot k down to snapshot 0 transports a fresh
 point back to the data distribution.
+
+Every gradient and objective value builds the one-point differences
+``v - x_i`` in the per-coordinate layout of :func:`efs.forward.pair_blocks`:
+one length-n row per coordinate, read from the snapshot's ``columns``, a
+(d, n) transpose that :class:`ParticleSet` builds once and caches.  One
+snapshot's columns thus serve all of a batch's samples and all of their
+inner iterations against it.
 """
 
 from __future__ import annotations
@@ -90,11 +97,29 @@ class BackwardPath:
         return self.points[-1]
 
 
+def _differences(v: np.ndarray, snap: ParticleSet):
+    """``(t, sq)``: the (d, n) differences ``v - x_i`` and their squared norms.
+
+    ``t[k] = v[k] - snap.columns[k]`` holds coordinate k of every difference,
+    and ``sq`` sums their squares in coordinate order 0..d-1, the order
+    :func:`efs.forward.pair_blocks` uses.  ``sq`` is a fresh array.
+    """
+    t = v[:, None] - snap.columns
+    sq = t[0] * t[0]
+    for tk in t[1:]:
+        sq += tk * tk
+    return t, sq
+
+
 def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams) -> np.ndarray:
-    """(1/n) * sum_i grad W(v - x_i) over the snapshot particles."""
-    diff = v[None, :] - snap.positions
-    q = np.einsum("ad,ad->a", diff, diff) + p.epsilon
-    return gradient_coef(q, p.s) @ diff / snap.n
+    """(1/n) * sum_i grad W(v - x_i) over the snapshot particles.
+
+    Works on the snapshot's cached (d, n) ``columns``: one row of
+    differences per coordinate, reduced by a (d, n) @ (n,) product.
+    """
+    t, q = _differences(v, snap)
+    q += p.epsilon
+    return t @ gradient_coef(q, p.s) / snap.n
 
 
 def augmented_forward_map(y: np.ndarray, snap: ParticleSet, gamma: float,
@@ -104,8 +129,7 @@ def augmented_forward_map(y: np.ndarray, snap: ParticleSet, gamma: float,
 
 
 def _mean_potential(v: np.ndarray, snap: ParticleSet, p: PotentialParams) -> float:
-    diff = v[None, :] - snap.positions
-    sq = np.einsum("ad,ad->a", diff, diff)
+    _, sq = _differences(v, snap)
     q = sq + p.epsilon
     if np.any(q == 0.0):
         raise SingularityError("objective evaluated at a particle with epsilon=0")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +46,17 @@ class ParticleSet:
     ``positions`` is an n x d float64 matrix; row i is particle x_i.  The
     array is frozen (read-only) so sets can be shared across threads.
 
-    ``_energy`` caches E_n per :class:`PotentialParams`.  It is filled by
-    :func:`forward_gradient` and :func:`interaction_energy` and read by the
-    latter; E_n is a pure function of the read-only positions and the params,
-    so a cached value never goes stale.
+    Two sets are equal when their positions are.  The set carries two caches
+    that show in neither ``repr`` nor equality.  Each is a pure function of
+    the read-only positions (and of the params), so a cached value never goes
+    stale:
+
+    - ``_energy`` caches E_n per :class:`PotentialParams`.  It is filled by
+      :func:`forward_gradient` and :func:`interaction_energy` and read by the
+      latter.
+    - ``columns`` is the read-only (d, n) C-contiguous transpose of the
+      positions, built on first access.  :mod:`efs.backward` reads it for
+      every inner gradient against this snapshot.
     """
 
     positions: np.ndarray
@@ -67,6 +75,11 @@ class ParticleSet:
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
+    def __eq__(self, other):
+        if not isinstance(other, ParticleSet):
+            return NotImplemented
+        return np.array_equal(self.positions, other.positions)
+
     @property
     def n(self) -> int:
         return self.positions.shape[0]
@@ -74,6 +87,13 @@ class ParticleSet:
     @property
     def d(self) -> int:
         return self.positions.shape[1]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Coordinate k of every particle in row k: a (d, n) read-only array."""
+        cols = np.ascontiguousarray(self.positions.T)
+        cols.setflags(write=False)
+        return cols
 
 
 @dataclass(frozen=True)
@@ -206,7 +226,7 @@ def run_forward(ps0: ParticleSet, gamma: float, k: int, p: PotentialParams) -> T
         raise ValueError(f"k must be >= 1, got {k}")
     d = ps0.d
     if not d - 2 <= p.s < d:
-        logger.warning("s=%g is outside [d-2, d)=[%d, %d) where the uniform-limit theory "
+        logger.warning("s=%g is outside [d-2, d)=[%d, %d) where the cited limit-law theory "
                        "applies", p.s, d - 2, d)
     snaps = [ps0]
     for j in range(k):

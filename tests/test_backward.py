@@ -10,6 +10,8 @@ from efs import (
     PotentialParams,
     augmented_forward_map,
     invert_step,
+    potential_gradient,
+    potential_value,
     prox_objective,
     run_backward,
     run_forward,
@@ -71,6 +73,24 @@ def test_objective_gradient_consistency(s):
         # and the closed form from the update rule
         np.testing.assert_allclose(
             g, v - anchor - cfg.gamma * mean_field_gradient(v, snap, p), atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+def test_mean_field_sums_match_pairwise_loop(s, d):
+    # d=1 leaves no coordinate after the first in the squared-norm sum, d=3
+    # more than one; both must equal the scalar W and grad W averaged over x
+    snap = random_set(30, d, seed=5)
+    cfg = BackwardConfig(gamma=0.05, beta=0.1, T=10)
+    p = PotentialParams(s, 1e-2)
+    anchor = np.zeros(d)
+    for v in SplitMix64(6).normals(4 * d).reshape(4, d):
+        mean_grad = sum(potential_gradient(v - xa, p) for xa in snap.positions) / snap.n
+        mean_w = sum(potential_value(v - xa, p) for xa in snap.positions) / snap.n
+        np.testing.assert_allclose(mean_field_gradient(v, snap, p), mean_grad,
+                                   rtol=1e-12, atol=1e-14)
+        assert prox_objective(v, anchor, snap, cfg, p) == pytest.approx(
+            0.5 * float(v @ v) - cfg.gamma * mean_w, rel=1e-12, abs=1e-14)
 
 
 def test_augmented_forward_map_definition():

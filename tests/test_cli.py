@@ -215,7 +215,7 @@ def test_exponent_outside_window_warns_once(tmp_path, capsys, caplog, mixture_fi
     with caplog.at_level(logging.WARNING, logger="efs"):
         code = main([command, "--data", str(mixture_file), "--k", "2"] + options)
     assert code == 0
-    assert sum("uniform-limit" in r.message for r in caplog.records) == 1
+    assert sum("cited limit-law theory" in r.message for r in caplog.records) == 1
 
 
 def test_forward_singularity_exit_code(tmp_path, capsys):

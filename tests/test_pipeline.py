@@ -237,7 +237,7 @@ def test_exponent_window_warning(caplog):
     ps = random_set(20, 2, seed=4)
     with caplog.at_level(logging.WARNING, logger="efs.forward"):
         efs_generate(ps, 0.01, 1, PotentialParams(5.0, 1e-3), SMALL_BWD, m=1, seed=0)
-    assert sum("uniform-limit" in r.message for r in caplog.records) == 1
+    assert sum("cited limit-law theory" in r.message for r in caplog.records) == 1
 
 
 def test_convexity_guard_warned_once_per_batch(caplog):
