@@ -69,6 +69,8 @@ def cmd_dataset(args) -> int:
         stds = None if args.std is None else [args.std] * 4
         lp = gaussian_mixture(args.n, stds=stds, seed=args.seed)
     elif args.kind == "swiss":
+        if args.std is not None:
+            raise ValueError("--std applies only to --kind mixture")
         lp = swiss_roll(args.n, noise=args.noise, seed=args.seed)
     else:
         raise ValueError(f"unknown dataset kind {args.kind!r}")
@@ -108,12 +110,20 @@ def cmd_forward(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    path_flags = [flag for flag, value in (("--i", args.i), ("--j", args.j),
+                                           ("--steps", args.steps)) if value is not None]
+    if path_flags and args.mode != "interp":
+        raise ValueError(f"{'/'.join(path_flags)} requires --mode interp")
+    if path_flags and args.i is None:
+        raise ValueError(f"{'/'.join(path_flags)} requires --i")
+    if path_flags and args.replay:
+        raise ValueError("--replay cannot be combined with --i: a path has no seeds to replay")
+    if path_flags and len(path_flags) < 3:
+        raise ValueError("--mode interp with --i needs --j and --steps")
     traj, labels = _read_trajectory(args.traj)
     bwd = BackwardConfig(gamma=traj.gamma, beta=args.beta, T=args.T, grad_tol=args.grad_tol)
 
-    if args.mode == "interp" and args.i is not None:
-        if args.j is None or args.steps is None:
-            raise ValueError("--mode interp with --i needs --j and --steps")
+    if path_flags:
         batch = interpolation_path(traj, args.i, args.j, args.steps, bwd,
                                    snapshot_mode=args.snapshot_mode)
     else:
@@ -127,8 +137,7 @@ def cmd_sample(args) -> int:
         m = args.m if seeds is None else len(seeds)
         batch = generate_from_trajectory(
             traj, bwd, m, mode=pipeline_mode, seed=args.seed,
-            snapshot_mode=args.snapshot_mode, use_ball=args.ball,
-            seeds=seeds, keep_paths=False)
+            snapshot_mode=args.snapshot_mode, seeds=seeds, keep_paths=False)
     persist.write_csv(args.out, batch.generated, seeds=batch.seeds)
     if args.svg:
         first = traj.snapshots[0]
@@ -143,6 +152,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.snapshot is not None and not str(args.points).endswith(".efsb"):
+        raise ValueError("--snapshot needs an .efsb trajectory as --points")
     did = False
     if args.points:
         if str(args.points).endswith(".efsb"):
@@ -179,6 +190,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.indices < 1:
+        raise ValueError(f"--indices must be >= 1, got {args.indices}")
     if args.data:
         points = load_points(args.data).points
     else:
@@ -186,8 +199,6 @@ def cmd_roundtrip(args) -> int:
     params = PotentialParams(s=resolve_exponent(args.s, points.d), epsilon=args.epsilon)
     traj = run_forward(points, args.gamma, args.k, params)
     bwd = BackwardConfig(gamma=args.gamma, beta=args.beta, T=args.T)
-    if args.indices < 1:
-        raise ValueError(f"--indices must be >= 1, got {args.indices}")
     count = min(args.indices, points.n)
     batch = invert_batch(traj.snapshots[-1].positions[:count], traj, bwd,
                          args.snapshot_mode, "roundtrip", keep_paths=False)
@@ -217,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility and ignored; samples run one at a time")
         p.set_defaults(func=func, parser=p)
         return p
 
@@ -228,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--std", type=float, help="mixture component std")
     p.add_argument("--noise", type=float, default=0.2, help="swiss roll noise level")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--out", required=True)
 
     p = command("forward", cmd_forward, "run the forward transport, store the trajectory")
@@ -241,20 +250,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sample", cmd_sample, "generate samples from a stored trajectory")
     p.add_argument("--traj", required=True)
-    p.add_argument("--mode", choices=["sphere", "interp"], default="sphere")
+    p.add_argument("--mode", choices=["sphere", "ball", "interp"], default="sphere",
+                   help="starts: uniform on the enclosing sphere, uniform in its ball, "
+                        "or interpolated between two final-snapshot particles")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--beta", type=float)
     p.add_argument("--T", type=int)
     p.add_argument("--grad-tol", type=float, default=1e-10)
     p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="paper")
-    p.add_argument("--ball", action="store_true", help="uniform ball draw instead of sphere")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--replay",
                    help="samples csv whose seed column to replay; the file records only seeds, "
-                        "so give the --mode, --ball, --snapshot-mode, --beta, --T and "
+                        "so give the --mode, --snapshot-mode, --beta, --T and "
                         "--grad-tol that made it")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility and ignored; samples run one at a time")
     p.add_argument("--out", required=True)
     p.add_argument("--svg")
 
@@ -275,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--s", default="1", help="exponent; accepts the token d-2")
     p.add_argument("--n", type=int, default=400)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of the generated mixture")
     p.add_argument("--indices", type=int, default=10)
     p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="exact")
     p.add_argument("--tol", type=float, default=5e-2)

@@ -1,13 +1,13 @@
 """End-to-end generation: forward transport, augmentation, backward pass.
 
 A run transports the training set forward, estimates the enclosing sphere of
-the final snapshot, augments fresh points (uniform sphere draw or latent
-interpolation), and inverts each augmented point back through the stored
-snapshots.  Augmented points never interact with one another; each sees only
-the stored snapshots, so samples are independent and are inverted one after
-another.  The ``threads`` arguments are accepted and ignored: the per-sample
-work is small and GIL-bound, and a thread pool measured slower than one
-thread.
+the final snapshot, augments fresh points (uniform sphere or ball draw, or
+latent interpolation), and inverts each augmented point back through the
+stored snapshots.  Augmented points never interact with one another; each
+sees only the stored snapshots, so samples are independent and are inverted
+one after another.  The ``threads`` arguments are accepted and ignored: the
+per-sample work is small and GIL-bound, and a thread pool measured slower
+than one thread.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .forward import ParticleSet, Trajectory, run_forward
 from .potential import PotentialParams
 from .rng import SplitMix64, spawn_seed
 
-AUGMENTATION_MODES = ("sphere", "interpolation")
+AUGMENTATION_MODES = ("sphere", "ball", "interpolation")
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,16 @@ class Enclosure:
 class SampleBatch:
     """Generated points with full provenance.
 
-    ``seeds`` holds one recorded RNG seed per sample for sphere-mode draws
-    (None for deterministic interpolation paths); a batch regenerates
-    bit-exactly from its seeds and configs.  ``inner_capped`` counts the
-    inversions of the whole batch that stopped at the T cap with a residual
-    above ``grad_tol``.
+    ``mode`` names how the starts were drawn: ``"sphere"`` (uniform on the
+    enclosing sphere), ``"ball"`` (uniform in the enclosing ball),
+    ``"interpolation"`` (a random pair of final-snapshot particles and a
+    random t, or the fixed segment of ``interpolation_path``) or
+    ``"roundtrip"``.  ``seeds`` holds one recorded RNG seed per sample for
+    every random draw, random-pair interpolation included (None for the
+    deterministic ``interpolation_path`` and roundtrip batches); a batch
+    regenerates bit-exactly from its seeds, mode and configs.
+    ``inner_capped`` counts the inversions of the whole batch that stopped at
+    the T cap with a residual above ``grad_tol``.
     """
 
     generated: np.ndarray
@@ -121,48 +126,52 @@ def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: s
                        inner_capped=capped, paths=tuple(paths) if keep_paths else None)
 
 
-def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams,
-                 bwd: BackwardConfig, m: int, mode: str = "sphere", seed: int = 0,
-                 snapshot_mode: str = "paper", use_ball: bool = False,
-                 seeds: Optional[list] = None, keep_paths: bool = True,
-                 threads: Optional[int] = None):
-    """Full pipeline: forward once, augment m points, invert each.
-
-    Returns ``(Trajectory, SampleBatch)``.  Per-sample seeds are spawned from
-    ``seed`` unless an explicit ``seeds`` list is given (replay).
-    """
+def _check_request(m: int, mode: str, seeds: Optional[list]) -> None:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if mode not in AUGMENTATION_MODES:
-        raise ValueError(f"mode must be one of {AUGMENTATION_MODES}")
+        raise ValueError(f"mode must be one of {AUGMENTATION_MODES}, got {mode!r}")
+    if seeds is not None and len(seeds) != m:
+        raise ValueError(f"got {len(seeds)} replay seeds for m={m}")
+
+
+def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams,
+                 bwd: BackwardConfig, m: int, mode: str = "sphere", seed: int = 0,
+                 snapshot_mode: str = "paper", seeds: Optional[list] = None,
+                 keep_paths: bool = True, threads: Optional[int] = None):
+    """Full pipeline: forward once, augment m points, invert each.
+
+    Returns ``(Trajectory, SampleBatch)``.  Per-sample seeds are spawned from
+    ``seed`` unless an explicit ``seeds`` list is given (replay); ``m``,
+    ``mode`` and ``seeds`` are checked before the forward run.
+    """
+    _check_request(m, mode, seeds)
     traj = run_forward(ps0, gamma, k, params)
     batch = generate_from_trajectory(
         traj, bwd, m, mode=mode, seed=seed, snapshot_mode=snapshot_mode,
-        use_ball=use_ball, seeds=seeds, keep_paths=keep_paths)
+        seeds=seeds, keep_paths=keep_paths)
     return traj, batch
 
 
 def generate_from_trajectory(traj: Trajectory, bwd: BackwardConfig, m: int,
                              mode: str = "sphere", seed: int = 0,
-                             snapshot_mode: str = "paper", use_ball: bool = False,
-                             seeds: Optional[list] = None, keep_paths: bool = True,
+                             snapshot_mode: str = "paper", seeds: Optional[list] = None,
+                             keep_paths: bool = True,
                              threads: Optional[int] = None) -> SampleBatch:
-    """Augment m points against a stored trajectory and invert them."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if mode not in AUGMENTATION_MODES:
-        raise ValueError(f"mode must be one of {AUGMENTATION_MODES}")
-    if seeds is not None and len(seeds) != m:
-        raise ValueError(f"got {len(seeds)} replay seeds for m={m}")
+    """Augment m points (``mode`` as in ``SampleBatch``) against a stored
+    trajectory and invert them."""
+    _check_request(m, mode, seeds)
     final = traj.snapshots[-1]
     if seeds is None:
         seeds = [spawn_seed(seed, i) for i in range(m)]
-    enc = estimate_enclosure(final) if mode == "sphere" else None
+    enc = None if mode == "interpolation" else estimate_enclosure(final)
     starts = []
     for child in seeds:
         rng = SplitMix64(child)
         if mode == "sphere":
-            y = sample_ball(enc, final.d, rng) if use_ball else sample_sphere(enc, final.d, rng)
+            y = sample_sphere(enc, final.d, rng)
+        elif mode == "ball":
+            y = sample_ball(enc, final.d, rng)
         else:
             a = rng.integer(final.n)
             b = rng.integer(final.n - 1)

@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +11,9 @@ import numpy as np
 import pytest
 
 import efs
+import efs.cli
 from efs import ParticleSet, PotentialParams, interaction_energy
-from efs.cli import load_config_file, main
+from efs.cli import build_parser, load_config_file, main, parse_args
 from efs.persist import read_csv, read_efsb, write_csv, write_efsb
 
 
@@ -105,6 +109,51 @@ def test_config_ignores_keys_that_are_not_options(tmp_path, capsys, mixture_file
     assert code == 0
 
 
+def test_config_mode_ball(tmp_path, capsys, trajectory_file):
+    # mode = ball is a single-value option, so a config file can choose it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = ball\nbeta = 0.1\nT = 50\nseed = 4\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    code, kv = run(capsys, "sample", "--config", str(cfg), "--traj", str(trajectory_file),
+                   "--m", "3", "--out", str(a))
+    assert code == 0
+    assert kv["mode"] == "ball"
+    code, _ = run(capsys, "sample", "--traj", str(trajectory_file), "--mode", "ball",
+                  "--m", "3", "--beta", "0.1", "--T", "50", "--seed", "4", "--out", str(b))
+    assert code == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_every_option_is_read_by_its_command():
+    # an option its command never reads is accepted and dropped without a word
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread, count = [], 0
+    for name, p in sub.choices.items():
+        source = inspect.getsource(p.get_default("func"))
+        for action in p._actions:
+            if action.dest == "help":
+                continue
+            count += 1
+            # parse_args reads --config; the benchmark's sample argv passes --threads
+            if action.dest == "config" or (name, action.dest) == ("sample", "threads"):
+                continue
+            if not re.search(rf"\bargs\.{action.dest}\b", source):
+                unread.append(f"{name} {action.option_strings[0]}")
+    assert unread == []
+    assert count == 51
+
+
+def test_benchmark_argv_parses():
+    for argv in (["dataset", "--kind", "swiss", "--n", "500", "--seed", "1", "--out", "d.efsb",
+                  "--noise", "0.2"],
+                 ["forward", "--data", "d.efsb", "--gamma", "0.1", "--k", "31", "--s", "1.0",
+                  "--epsilon", "0.001", "--out", "t.efsb"],
+                 ["sample", "--traj", "t.efsb", "--mode", "sphere", "--m", "50", "--beta", "0.1",
+                  "--T", "300", "--seed", "1", "--threads", "1", "--out", "s.csv",
+                  "--replay", "r.csv"]):
+        assert parse_args(argv).command == argv[0]
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; keep scipy from creeping back
     src = str(Path(efs.__file__).resolve().parents[1])
@@ -137,6 +186,14 @@ def test_dataset_swiss_and_determinism(tmp_path, capsys):
                   "--noise", "0.2", "--seed", "7", "--out", str(b))
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dataset_swiss_rejects_std(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["dataset", "--kind", "swiss", "--n", "50", "--std", "0.3", "--out", str(out)])
+    assert code == 2
+    assert "--std" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dataset_unknown_kind(tmp_path, capsys):
@@ -251,6 +308,48 @@ def test_sample_replay_bit_identical(tmp_path, capsys, trajectory_file):
                   "--replay", str(a), "--beta", "0.1", "--T", "200", "--out", str(b))
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sample_ball_mode_and_replay(tmp_path, capsys, trajectory_file):
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    options = ["--m", "4", "--beta", "0.1", "--T", "200", "--seed", "5"]
+    code, kv = run(capsys, "sample", "--traj", str(trajectory_file), "--mode", "ball",
+                   *options, "--out", str(a))
+    assert code == 0
+    assert kv["mode"] == "ball"
+    code, kv = run(capsys, "sample", "--traj", str(trajectory_file), "--mode", "ball",
+                   "--replay", str(a), "--beta", "0.1", "--T", "200", "--out", str(b))
+    assert code == 0
+    assert kv["mode"] == "ball"
+    assert a.read_bytes() == b.read_bytes()
+    code, kv = run(capsys, "sample", "--traj", str(trajectory_file), "--mode", "sphere",
+                   *options, "--out", str(c))
+    assert code == 0
+    assert kv["mode"] == "sphere"
+    # same seeds, different draws
+    assert read_csv(a)[2].tolist() == read_csv(c)[2].tolist()
+    assert not np.array_equal(read_csv(a)[0], read_csv(c)[0])
+
+
+@pytest.mark.parametrize("options, flag", [
+    (["--mode", "sphere", "--i", "1"], "--i"),
+    (["--mode", "ball", "--j", "2"], "--j"),
+    (["--steps", "3"], "--steps"),
+    (["--mode", "interp", "--j", "2"], "--j"),
+    (["--mode", "interp", "--steps", "3", "--m", "2"], "--steps"),
+    (["--mode", "interp", "--i", "1", "--j", "2", "--steps", "3", "--replay"], "--replay"),
+])
+def test_sample_rejects_options_it_would_drop(tmp_path, capsys, trajectory_file, options, flag):
+    seeds_file = tmp_path / "seeds.csv"
+    write_csv(seeds_file, np.zeros((2, 2)), seeds=np.array([1, 2], dtype=np.uint64))
+    if options[-1] == "--replay":
+        options = options + [str(seeds_file)]
+    out = tmp_path / "s.csv"
+    code = main(["sample", "--traj", str(trajectory_file), "--beta", "0.1", "--T", "50",
+                 "--out", str(out)] + options)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_threads_flag_accepted_and_inert(tmp_path, capsys, trajectory_file):
@@ -411,6 +510,17 @@ def test_metrics_snapshot_out_of_range(capsys, trajectory_file, index):
     assert "--snapshot" in err and "6 snapshots" in err
 
 
+@pytest.mark.parametrize("source", ["csv", "mmd"])
+def test_metrics_snapshot_needs_a_trajectory(tmp_path, capsys, mixture_file, source):
+    points = tmp_path / "p.csv"
+    write_csv(points, read_efsb(mixture_file).snapshots[0])
+    inputs = {"csv": ["--points", str(points)],
+              "mmd": ["--mmd", str(points), str(mixture_file)]}[source]
+    code = main(["metrics", "--snapshot", "0"] + inputs)
+    assert code == 2
+    assert "--snapshot" in capsys.readouterr().err
+
+
 def test_metrics_mmd_halves(tmp_path, capsys, mixture_file):
     blob = read_efsb(mixture_file)
     pts = blob.snapshots[0]
@@ -473,7 +583,11 @@ def test_roundtrip_reports_inner_capped(capsys):
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])
-def test_roundtrip_rejects_indices_below_one(capsys, count):
+def test_roundtrip_rejects_indices_below_one(capsys, monkeypatch, count):
+    def forward(*args, **kwargs):
+        raise AssertionError("the forward ran before --indices was checked")
+
+    monkeypatch.setattr(efs.cli, "run_forward", forward)
     code = main(["roundtrip", "--n", "60", "--k", "3", "--T", "10", "--indices", count])
     assert code == 2
     assert "--indices" in capsys.readouterr().err

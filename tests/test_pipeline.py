@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import efs.pipeline
 from efs import (
     BackwardConfig,
     DegenerateEnclosureError,
@@ -18,6 +19,7 @@ from efs import (
     run_forward,
     sample_ball,
     sample_sphere,
+    spawn_seed,
 )
 from efs.rng import SplitMix64
 
@@ -181,6 +183,18 @@ def test_generate_interpolation_mode():
     assert batch.mode == "interpolation"
 
 
+def test_generate_ball_mode_starts_are_ball_draws():
+    traj = small_trajectory()
+    batch = generate_from_trajectory(traj, SMALL_BWD, 4, mode="ball", seed=5)
+    assert batch.mode == "ball"
+    assert batch.seeds == tuple(spawn_seed(5, i) for i in range(4))
+    enc = estimate_enclosure(traj.snapshots[-1])
+    for path, child in zip(batch.paths, batch.seeds):
+        np.testing.assert_array_equal(path.points[0], sample_ball(enc, 2, SplitMix64(child)))
+    replay = generate_from_trajectory(traj, SMALL_BWD, 4, mode="ball", seeds=list(batch.seeds))
+    np.testing.assert_array_equal(replay.generated, batch.generated)
+
+
 def test_generate_validation():
     traj = small_trajectory()
     with pytest.raises(ValueError):
@@ -196,6 +210,17 @@ def test_efs_generate_end_to_end():
     traj, batch = efs_generate(ps, 0.01, 3, SMALL_P, SMALL_BWD, m=2, seed=1)
     assert traj.k == 3
     assert batch.generated.shape == (2, 2)
+
+
+@pytest.mark.parametrize("request_kwargs", [
+    {"m": 0}, {"m": 2, "mode": "teleport"}, {"m": 2, "seeds": [1, 2, 3]}])
+def test_efs_generate_checks_request_before_forward(monkeypatch, request_kwargs):
+    def forward(*args, **kwargs):
+        raise AssertionError("the forward ran before the request was checked")
+
+    monkeypatch.setattr(efs.pipeline, "run_forward", forward)
+    with pytest.raises(ValueError):
+        efs_generate(random_set(10, 2), 0.01, 3, SMALL_P, SMALL_BWD, **request_kwargs)
 
 
 def test_pipeline_translation_equivariance():
