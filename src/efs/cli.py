@@ -66,12 +66,15 @@ def _read_trajectory(path):
 
 def cmd_dataset(args) -> int:
     if args.kind == "mixture":
+        if args.noise is not None:
+            raise ValueError("--noise applies only to --kind swiss")
         stds = None if args.std is None else [args.std] * 4
         lp = gaussian_mixture(args.n, stds=stds, seed=args.seed)
     elif args.kind == "swiss":
         if args.std is not None:
             raise ValueError("--std applies only to --kind mixture")
-        lp = swiss_roll(args.n, noise=args.noise, seed=args.seed)
+        noise = 0.2 if args.noise is None else args.noise
+        lp = swiss_roll(args.n, noise=noise, seed=args.seed)
     else:
         raise ValueError(f"unknown dataset kind {args.kind!r}")
     save_points(lp, args.out)
@@ -193,9 +196,13 @@ def cmd_roundtrip(args) -> int:
     if args.indices < 1:
         raise ValueError(f"--indices must be >= 1, got {args.indices}")
     if args.data:
+        if args.n is not None or args.seed is not None:
+            raise ValueError("--n and --seed shape the generated mixture; drop them with --data")
         points = load_points(args.data).points
     else:
-        points = gaussian_mixture(args.n, seed=args.seed).points
+        n = 400 if args.n is None else args.n
+        seed = 0 if args.seed is None else args.seed
+        points = gaussian_mixture(n, seed=seed).points
     params = PotentialParams(s=resolve_exponent(args.s, points.d), epsilon=args.epsilon)
     traj = run_forward(points, args.gamma, args.k, params)
     bwd = BackwardConfig(gamma=args.gamma, beta=args.beta, T=args.T)
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["mixture", "swiss"])
     p.add_argument("--n", type=int)
     p.add_argument("--std", type=float, help="mixture component std")
-    p.add_argument("--noise", type=float, default=0.2, help="swiss roll noise level")
+    p.add_argument("--noise", type=float, help="swiss roll noise level (default 0.2)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--out", required=True)
 
@@ -287,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--s", default="1", help="exponent; accepts the token d-2")
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed of the generated mixture")
+    p.add_argument("--n", type=int, help="size of the generated mixture (default 400)")
+    p.add_argument("--seed", type=int, help="RNG seed of the generated mixture (default 0)")
     p.add_argument("--indices", type=int, default=10)
     p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="exact")
     p.add_argument("--tol", type=float, default=5e-2)

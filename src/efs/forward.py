@@ -12,8 +12,12 @@ The all-pairs blocks of the forward pass and of :mod:`efs.metrics` come from
 one generator, :func:`pair_blocks`.  It yields blocks of rows with one 2-D
 difference block per coordinate.  A block holds about ``_BLOCK_PAIRS`` pairs,
 so each of its float64 arrays is at most 128 KB and stays in a core's L2
-cache.  Each row's inner sum is a fixed-order numpy reduction over the full
-index range, so forces are independent of block size.
+cache.  The forward pass walks only the upper triangle, since the pair force
+is odd (grad W(-z) = -grad W(z)): each pair a < b is evaluated once and
+its term goes to both particles.  Row a's share is one reduction of the
+slice of pairs (a, a+1..n-1), and column b's share is subtracted row by row
+in order from a running total, so the forces are bit for bit independent of
+how the rows are cut into blocks.
 
 The energy E_n is computed from the same pair blocks as the forces:
 :func:`forward_gradient` also sums the pair values and caches E_n on the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,9 +38,15 @@ from .potential import PotentialParams, gradient_coef, pair_value
 
 logger = logging.getLogger(__name__)
 
-# Pairs per block.  A block has max(1, _BLOCK_PAIRS // n) rows, so each of its
-# (rows, n) float64 arrays is at most 128 KB, which a core's L2 cache holds.
+# Pairs per block.  A block of rows against w columns (w = n, or n - i0 in the
+# upper triangle) has max(1, _BLOCK_PAIRS // w) rows, so each of its (rows, w)
+# float64 arrays is at most 128 KB, which a core's L2 cache holds.
 _BLOCK_PAIRS = 16384
+
+
+def _block_capacity(rows: int, width: int) -> int:
+    """Most pairs in one block of at most ``rows`` rows and ``width`` columns."""
+    return min(max(_BLOCK_PAIRS, width), rows * width)
 
 
 @dataclass(frozen=True)
@@ -127,58 +137,116 @@ class Trajectory:
         return self.snapshots[0].d
 
 
-def pair_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (i0, i1, t, sq) for rows ``i0:i1`` of ``a`` against all of ``b``.
+def pair_blocks(a: np.ndarray, b: np.ndarray | None = None):
+    """Yield (i0, i1, t, sq) for the row blocks ``i0:i1`` of ``a``.
 
-    ``t`` holds one difference block ``t[k] = a[i0:i1, k, None] - b[None, :,
-    k]`` of shape (rows, len(b)) per coordinate k, with rows =
-    ``_BLOCK_PAIRS // len(b)`` (at least 1), and ``sq`` sums their squares in
-    coordinate order 0..d-1.  The next block overwrites ``t``, so a caller is
-    done with a block's differences when it asks for the next.
+    ``t`` holds one difference block per coordinate k and ``sq`` sums their
+    squares in coordinate order 0..d-1.  Against ``b``, rows ``i0:i1`` meet
+    all of ``b``: ``t[k] = a[i0:i1, k, None] - b[None, :, k]`` of shape
+    (rows, len(b)), with rows = ``_BLOCK_PAIRS // len(b)``.
+
+    With ``b`` omitted, the blocks walk the upper triangle of ``a`` against
+    itself: rows ``i0:i1`` meet columns ``i0:n``, so ``t[k]`` has shape
+    (rows, n - i0), with rows = ``_BLOCK_PAIRS // (n - i0)``, and entry (r, c)
+    is the pair (i0 + r, i0 + c).  The entries with c <= r, in the block's
+    leading square, are self pairs and mirror images of pairs in the block;
+    the caller masks them.  The rows stop at n - 1, the last particle having
+    no pair above it.
+
+    Rows are at least 1.  Every block is a view of buffers allocated once
+    per call, so a caller is done with a block when it asks for the next.
     """
+    upper = b is None
+    if upper:
+        b = a
     cols = np.ascontiguousarray(b.T)
-    step = max(1, _BLOCK_PAIRS // b.shape[0])
-    # The difference blocks reuse one array per coordinate.  Fresh arrays per
-    # block let malloc hand heap pages back and fault them in again, which
-    # made the MMD ~50 % slower.
-    bufs = [np.empty((min(step, a.shape[0]), b.shape[0])) for _ in cols]
-    for i0 in range(0, a.shape[0], step):
-        i1 = min(i0 + step, a.shape[0])
-        t = [buf[:i1 - i0] for buf in bufs]
+    n = b.shape[0]
+    stop = a.shape[0] - 1 if upper else a.shape[0]
+    # Fresh arrays per block let malloc hand heap pages back and fault them in
+    # again, which made the MMD ~50 % slower.  One joint buffer in place of
+    # one per array raised the benchmark's peak RSS by 0.4-1.1 MB.
+    size = _block_capacity(a.shape[0], n)
+    bufs = [np.empty(size) for _ in range(len(cols) + 1)]
+    i0 = 0
+    while i0 < stop:
+        j0 = i0 if upper else 0
+        width = n - j0
+        i1 = min(i0 + max(1, _BLOCK_PAIRS // width), stop)
+        *t, sq = (buf[:(i1 - i0) * width].reshape(i1 - i0, width) for buf in bufs)
         for k, c in enumerate(cols):
-            np.subtract(a[i0:i1, k, None], c, out=t[k])
-        sq = t[0] * t[0]
+            np.subtract(a[i0:i1, k, None], c[j0:], out=t[k])
+        np.multiply(t[0], t[0], out=sq)
         for tk in t[1:]:
             sq += tk * tk
         yield i0, i1, t, sq
+        i0 = i1
+
+
+@lru_cache(maxsize=4096)
+def _upper_layout(rows: int, width: int):
+    """Masks and cuts for an upper-triangle block of shape (rows, width).
+
+    Returns ``(lower, cuts)``: ``lower`` is True at the entries with c <= r of
+    the block's leading (rows, rows) square, and
+    ``np.add.reduceat(block.ravel(), cuts)[::2]`` sums each row r over c > r,
+    the slice ``block[r, r + 1:]`` that pairs particle i0 + r with every
+    particle above it.
+    """
+    lower = np.tri(rows, dtype=bool)
+    cuts = np.empty(2 * rows - 1, dtype=np.intp)
+    cuts[0::2] = np.arange(rows) * (width + 1) + 1
+    cuts[1::2] = np.arange(1, rows) * width
+    lower.setflags(write=False)
+    cuts.setflags(write=False)
+    return lower, cuts
 
 
 def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
-    """E_n of ``ps`` from the blocks of ``pair_blocks(x, x)``, cached on ``ps``.
+    """E_n of ``ps`` from the blocks of ``pair_blocks(x)``, cached on ``ps``.
 
-    With ``forces``, each block's rows of the unnormalized forces are written
-    there before its energy is summed.  ``q`` is the regularized squared
-    distance with its self-pair entries set to 1, so the potential and its
-    coefficient are finite there.  Coincident distinct pairs with eps=0 raise.
+    Each pair a < b is evaluated once.  With ``forces`` (n x d), the
+    unnormalized forces are written there: the pair term P = coef * (x_a - x_b)
+    goes to row a with a plus sign and to row b with a minus sign.  Row a's
+    plus terms are one reduction of the slice ``P[a, a + 1:]`` of its block;
+    row b's minus terms are subtracted one row at a time, in row order, from a
+    running total.  Neither depends on how the rows are cut into blocks, so
+    neither do the forces.  The energy is twice the sum of each row's pair
+    values, reduced the same way.
+
+    ``q`` is the regularized squared distance with the masked entries (see
+    :func:`pair_blocks`) set to 1, so the potential and its coefficient are
+    finite there and the coefficient is 0.  Coincident distinct pairs with
+    eps=0 raise.  Besides the generator's, a block uses two buffers: the
+    coefficient overwrites ``q`` once the pair values are summed, and the pair
+    terms overwrite the pair values.
     """
     x = ps.positions
-    total = 0.0
-    for i0, i1, t, sq in pair_blocks(x, x):
-        rows = np.arange(i0, i1)
-        diag = (rows - i0, rows)
-        q = sq + p.epsilon
-        q[diag] = 1.0
+    n, d = x.shape
+    size = _block_capacity(n, n)
+    qbuf, pbuf = np.empty(size), np.empty(size + n)
+    row_energy = np.empty(n - 1)
+    plus, minus = np.zeros((n, d)), np.zeros((d, n))
+    for i0, i1, t, sq in pair_blocks(x):
+        rows, width = sq.shape
+        lower, cuts = _upper_layout(rows, width)
+        q = np.add(sq, p.epsilon, out=qbuf[:sq.size].reshape(sq.shape))
+        np.copyto(q[:, :rows], 1.0, where=lower)
         if p.epsilon == 0.0 and np.any(q == 0.0):
             raise SingularityError("coincident particles with epsilon=0")
+        w = pair_value(sq, q, p.s, out=pbuf[:sq.size].reshape(sq.shape))
+        row_energy[i0:i1] = np.add.reduceat(w.ravel(), cuts)[::2]
         if forces is not None:
-            # q = 1 on the self-pair makes its coefficient 0, and t is 0 there
-            coef = gradient_coef(q, p.s)
+            coef = gradient_coef(q, p.s, out=q)
+            # row 0 carries the running total of the columns' minus terms
+            pair = pbuf[:sq.size + width].reshape(rows + 1, width)
             for k, tk in enumerate(t):
-                forces[i0:i1, k] = np.einsum("ab,ab->a", coef, tk)
-        w = pair_value(sq, q, p.s)
-        w[diag] = 0.0
-        total += float(w.sum())
-    ps._energy[p] = total / (ps.n * (ps.n - 1))
+                pair[0] = minus[k, i0:]
+                np.multiply(coef, tk, out=pair[1:])
+                plus[i0:i1, k] = np.add.reduceat(pair[1:].ravel(), cuts)[::2]
+                np.subtract.reduce(pair, axis=0, out=minus[k, i0:])
+    if forces is not None:
+        np.add(plus, minus.T, out=forces)
+    ps._energy[p] = 2.0 * float(row_energy.sum()) / (n * (n - 1))
     return ps._energy[p]
 
 

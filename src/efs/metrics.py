@@ -45,8 +45,11 @@ class UniformityReport:
 
 
 def _kernel_mean(a: np.ndarray, b: np.ndarray, s: float, eps: float) -> float:
-    # fsum adds the block sums exactly rounded, so the block count adds no error
-    sums = [float(repulsion(sq + eps, s).sum()) for *_, sq in pair_blocks(a, b)]
+    # fsum adds the block sums exactly rounded, so the block count adds no error.
+    # The kernel is computed in place in the block's buffer: a fresh array per
+    # block lets malloc hand heap pages back and fault them in again.
+    sums = [float(repulsion(np.add(sq, eps, out=sq), s, out=sq).sum())
+            for *_, sq in pair_blocks(a, b)]
     return math.fsum(sums) / (a.shape[0] * b.shape[0])
 
 

@@ -14,7 +14,8 @@ valid for every s >= 0, including the logarithmic branch.  The elementwise
 functions :func:`repulsion`, :func:`pair_value` and :func:`gradient_coef` take
 the regularized squared distance ``q = ||z||^2 + eps`` and are the one place W
 is written; the array code in forward, backward and metrics calls them on
-whole blocks of ``q``.  All functions here are pure and stateless.
+whole blocks of ``q``, and the forward pass has them write into buffers it
+reuses from block to block.  All functions here are pure and stateless.
 """
 
 from __future__ import annotations
@@ -54,25 +55,46 @@ def _check_vector(z) -> np.ndarray:
     return z
 
 
-def repulsion(q, s: float):
+def _power(q, e: float, out=None):
+    """``q ** e``; with ``out``, written there by an in-place ``**=``.
+
+    The in-place operator takes the fast paths ``**`` takes (a reciprocal for
+    e = -1, a square root for e = 1/2), so both forms give the same bits.
+    """
+    if out is None:
+        return q ** e
+    np.copyto(out, q)
+    out **= e
+    return out
+
+
+def repulsion(q, s: float, out=None):
     """Repulsive part of W at regularized squared distance ``q``.
 
     ``-log(q) / 2`` for s = 0, otherwise ``1 / (s * q^(s/2))``; for s > 0 it
-    is also the MMD kernel.  Elementwise on arrays.
+    is also the MMD kernel.  Elementwise on arrays; ``out``, when given, is
+    an array of ``q``'s shape that receives the result.
     """
     if s == 0:
-        return -0.5 * np.log(q)
-    return 1.0 / (s * q ** (s / 2.0))
+        return np.multiply(np.log(q, out=out), -0.5, out=out)
+    r = _power(q, s / 2.0, out)
+    return np.divide(1.0, np.multiply(r, s, out=out), out=out)
 
 
-def pair_value(sq, q, s: float):
-    """W from the squared distance ``sq`` and its regularization ``q``."""
-    return 0.5 * sq + repulsion(q, s)
+def pair_value(sq, q, s: float, out=None):
+    """W from the squared distance ``sq`` and its regularization ``q``.
+
+    With ``out`` (not ``sq``), the result is written there.
+    """
+    return np.add(repulsion(q, s, out), 0.5 * sq, out=out)
 
 
-def gradient_coef(q, s: float):
-    """The scalar c with grad W(z) = c * z, at ``q = ||z||^2 + eps``."""
-    return 1.0 - q ** (-(s + 2.0) / 2.0)
+def gradient_coef(q, s: float, out=None):
+    """The scalar c with grad W(z) = c * z, at ``q = ||z||^2 + eps``.
+
+    With ``out``, the result is written there.
+    """
+    return np.subtract(1.0, _power(q, -(s + 2.0) / 2.0, out), out=out)
 
 
 def potential_value(z, p: PotentialParams) -> float:

@@ -591,3 +591,44 @@ def test_roundtrip_rejects_indices_below_one(capsys, monkeypatch, count):
     code = main(["roundtrip", "--n", "60", "--k", "3", "--T", "10", "--indices", count])
     assert code == 2
     assert "--indices" in capsys.readouterr().err
+
+
+def test_dataset_mixture_rejects_noise(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code = main(["dataset", "--kind", "mixture", "--n", "50", "--noise", "0.9",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--noise" in capsys.readouterr().err
+    assert not out.exists()
+    # the Swiss roll still defaults to noise 0.2
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["dataset", "--kind", "swiss", "--n", "50", "--out", str(a)]) == 0
+    assert main(["dataset", "--kind", "swiss", "--n", "50", "--noise", "0.2",
+                 "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("option", [["--n", "5"], ["--seed", "1"], ["--n", "400", "--seed", "0"]])
+def test_roundtrip_data_rejects_mixture_options(mixture_file, capsys, monkeypatch, option):
+    def forward(*args, **kwargs):
+        raise AssertionError("the forward ran before the options were checked")
+
+    monkeypatch.setattr(efs.cli, "run_forward", forward)
+    code = main(["roundtrip", "--data", str(mixture_file), "--k", "3", "--T", "10", *option])
+    assert code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+def test_roundtrip_generated_mixture_defaults(capsys, monkeypatch):
+    # without --data the mixture is gaussian_mixture(400, seed=0), as before
+    seen = {}
+
+    def mixture(n, seed):
+        seen.update(n=n, seed=seed)
+        raise ValueError("stop after the mixture")
+
+    monkeypatch.setattr(efs.cli, "gaussian_mixture", mixture)
+    assert main(["roundtrip", "--k", "3"]) == 2
+    assert seen == {"n": 400, "seed": 0}
+    assert main(["roundtrip", "--k", "3", "--n", "60", "--seed", "4"]) == 2
+    assert seen == {"n": 60, "seed": 4}

@@ -333,3 +333,42 @@ def test_energy_cache_keyed_by_params():
     assert interaction_energy(ps, p2) == interaction_energy(fresh, p2)
     assert interaction_energy(ps, p1) == interaction_energy(fresh, p1)
     assert interaction_energy(ps, p1) != interaction_energy(ps, p2)
+
+
+# ---------------------------------------------------------------- upper-triangle blocks
+
+ODD_N = 301
+
+
+@pytest.mark.parametrize("block_pairs", [1, ODD_N - 1, ODD_N, 7 * ODD_N, ODD_N**2 + 1])
+@pytest.mark.parametrize("s", [0.0, 1.0, 2.5], ids=lambda s: f"s={s:g}")
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
+def test_forces_bit_identical_under_any_block_partition(monkeypatch, d, s, block_pairs):
+    # one-row blocks, single-row blocks that meet all n columns, several
+    # blocks of growing height, and the whole triangle in one block
+    import efs.forward as fwd
+
+    ps = random_set(ODD_N, d, seed=32, scale=2.0)
+    p = PotentialParams(s, 1e-3)
+    base = forward_gradient(ps, p)
+    monkeypatch.setattr(fwd, "_BLOCK_PAIRS", block_pairs)
+    np.testing.assert_array_equal(forward_gradient(ParticleSet(ps.positions), p), base)
+
+
+@pytest.mark.parametrize("where", ["leading square", "right of the square"])
+def test_coincident_pair_raises_in_either_part_of_a_block(where):
+    import efs.forward as fwd
+
+    # with n = 301 the first block has rows 0 .. rows - 1 and columns 0 .. n - 1;
+    # pair (3, b) lies in its leading square for b < rows and to its right beyond
+    rows = fwd._BLOCK_PAIRS // ODD_N
+    b = rows - 2 if where == "leading square" else rows + 40
+    assert 3 < b < ODD_N
+    x = random_set(ODD_N, 2, seed=33).positions.copy()
+    x[b] = x[3]
+    ps = ParticleSet(x)
+    with pytest.raises(SingularityError, match="coincident"):
+        forward_gradient(ps, PotentialParams(1.0, 0.0))
+    with pytest.raises(SingularityError, match="coincident"):
+        interaction_energy(ParticleSet(x), PotentialParams(0.0, 0.0))
+    assert np.all(np.isfinite(forward_gradient(ps, PotentialParams(1.0, 1e-3))))
