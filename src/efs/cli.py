@@ -58,6 +58,9 @@ def resolve_exponent(raw: str, d: int) -> float:
 
 def _read_trajectory(path):
     blob = persist.read_efsb(path)
+    if len(blob.snapshots) < 2:
+        raise FormatError(f"{path}: holds {len(blob.snapshots)} snapshot; "
+                          "a trajectory has at least 2")
     traj = Trajectory(tuple(ParticleSet(a) for a in blob.snapshots),
                       gamma=blob.gamma,
                       params=PotentialParams(s=blob.s, epsilon=blob.epsilon))
@@ -195,18 +198,9 @@ def cmd_metrics(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.indices < 1:
         raise ValueError(f"--indices must be >= 1, got {args.indices}")
-    if args.data:
-        if args.n is not None or args.seed is not None:
-            raise ValueError("--n and --seed shape the generated mixture; drop them with --data")
-        points = load_points(args.data).points
-    else:
-        n = 400 if args.n is None else args.n
-        seed = 0 if args.seed is None else args.seed
-        points = gaussian_mixture(n, seed=seed).points
-    params = PotentialParams(s=resolve_exponent(args.s, points.d), epsilon=args.epsilon)
-    traj = run_forward(points, args.gamma, args.k, params)
-    bwd = BackwardConfig(gamma=args.gamma, beta=args.beta, T=args.T)
-    count = min(args.indices, points.n)
+    traj, _labels = _read_trajectory(args.traj)
+    bwd = BackwardConfig(gamma=traj.gamma, beta=args.beta, T=args.T)
+    count = min(args.indices, traj.n)
     batch = invert_batch(traj.snapshots[-1].positions[:count], traj, bwd,
                          args.snapshot_mode, "roundtrip", keep_paths=False)
     max_err = max(float(np.linalg.norm(g - x))
@@ -286,16 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--nn", nargs=2, metavar=("GENERATED", "TRAINING"))
 
-    p = command("roundtrip", cmd_roundtrip, "forward then backward recovery check")
-    p.add_argument("--data")
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=31)
+    p = command("roundtrip", cmd_roundtrip, "backward recovery check of a stored trajectory")
+    p.add_argument("--traj", required=True)
     p.add_argument("--T", type=int, default=300)
     p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--s", default="1", help="exponent; accepts the token d-2")
-    p.add_argument("--n", type=int, help="size of the generated mixture (default 400)")
-    p.add_argument("--seed", type=int, help="RNG seed of the generated mixture (default 0)")
     p.add_argument("--indices", type=int, default=10)
     p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="exact")
     p.add_argument("--tol", type=float, default=5e-2)

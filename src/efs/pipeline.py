@@ -5,9 +5,9 @@ the final snapshot, augments fresh points (uniform sphere or ball draw, or
 latent interpolation), and inverts each augmented point back through the
 stored snapshots.  Augmented points never interact with one another; each
 sees only the stored snapshots, so samples are independent and are inverted
-one after another.  The ``threads`` arguments are accepted and ignored: the
-per-sample work is small and GIL-bound, and a thread pool measured slower
-than one thread.
+one after another.  ``generate_from_trajectory(threads=)`` is accepted and
+ignored: the per-sample work is small and GIL-bound, and a thread pool
+measured slower than one thread.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _check_request(m: int, mode: str, seeds: Optional[list]) -> None:
 def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams,
                  bwd: BackwardConfig, m: int, mode: str = "sphere", seed: int = 0,
                  snapshot_mode: str = "paper", seeds: Optional[list] = None,
-                 keep_paths: bool = True, threads: Optional[int] = None):
+                 keep_paths: bool = True):
     """Full pipeline: forward once, augment m points, invert each.
 
     Returns ``(Trajectory, SampleBatch)``.  Per-sample seeds are spawned from
@@ -184,8 +184,7 @@ def generate_from_trajectory(traj: Trajectory, bwd: BackwardConfig, m: int,
 
 
 def interpolation_path(traj: Trajectory, i: int, j: int, steps: int,
-                       bwd: BackwardConfig, snapshot_mode: str = "paper",
-                       threads: Optional[int] = None) -> SampleBatch:
+                       bwd: BackwardConfig, snapshot_mode: str = "paper") -> SampleBatch:
     """Backward-map the straight segment between x_i^(k) and x_j^(k).
 
     The segment is sampled at ``steps`` equispaced t values in [0, 1]

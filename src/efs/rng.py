@@ -44,10 +44,6 @@ class SplitMix64:
         self._seed = seed & _MASK
         self._count = 0
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def _raw(self, size: int) -> np.ndarray:
         counters = np.arange(self._count + 1, self._count + size + 1, dtype=np.uint64)
         self._count += size

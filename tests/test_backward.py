@@ -153,6 +153,16 @@ def test_invert_divergence_raises():
         invert_step(snap.positions[0] + 1e-4, snap, cfg, p)
 
 
+def test_invert_from_a_snapshot_particle_at_zero_epsilon_raises():
+    # at eps = 0 the pair with the coincident particle is singular, so the
+    # first gradient is NaN and the solver stops before any step
+    snap = random_set(10, 2, seed=9)
+    cfg = BackwardConfig(gamma=0.1, beta=0.1, T=10)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(InstabilityError, match="diverged"):
+            invert_step(snap.positions[3], snap, cfg, PotentialParams(1.0, 0.0), _warn=False)
+
+
 def test_convexity_guard_warning(caplog):
     snap = random_set(10, 2, seed=10)
     p = PotentialParams(1.0, 0.1)

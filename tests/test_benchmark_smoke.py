@@ -27,10 +27,9 @@ def checkout(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_tiny_benchmark_run_is_correct(checkout, trace):
+def run_tiny(checkout, workload, trace):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "mix-ref", "--size", "tiny",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--size", "tiny",
          "--seed", "7", "--seconds", "1", "--trace", trace],
         cwd=checkout, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -38,3 +37,13 @@ def test_tiny_benchmark_run_is_correct(checkout, trace):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["metrics"]
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_benchmark_run_is_correct(checkout, trace):
+    run_tiny(checkout, "mix-ref", trace)
+
+
+def test_tiny_swiss_benchmark_run_is_correct(checkout):
+    # the one workload whose argv passes --kind swiss --noise and runs the s=0 log branch
+    run_tiny(checkout, "swiss-ref", "0")

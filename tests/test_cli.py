@@ -140,7 +140,7 @@ def test_every_option_is_read_by_its_command():
             if not re.search(rf"\bargs\.{action.dest}\b", source):
                 unread.append(f"{name} {action.option_strings[0]}")
     assert unread == []
-    assert count == 51
+    assert count == 45
 
 
 def test_benchmark_argv_parses():
@@ -265,10 +265,9 @@ def test_forward_label_outside_int32_is_io_error(tmp_path, capsys):
     assert "line 3: label 99999999999 is outside int32" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+@pytest.mark.parametrize("command", ["forward"])
 def test_exponent_outside_window_warns_once(tmp_path, capsys, caplog, mixture_file, command):
-    options = {"forward": ["--gamma", "0.01", "--s", "5", "--out", str(tmp_path / "t.efsb")],
-               "roundtrip": ["--T", "20", "--s", "3", "--indices", "2"]}[command]
+    options = ["--gamma", "0.01", "--s", "5", "--out", str(tmp_path / "t.efsb")]
     with caplog.at_level(logging.WARNING, logger="efs"):
         code = main([command, "--data", str(mixture_file), "--k", "2"] + options)
     assert code == 0
@@ -546,51 +545,76 @@ def test_metrics_nothing_to_do(capsys):
 
 # ---------------------------------------------------------------- roundtrip
 
-def test_roundtrip_gamma_zero_degenerate(capsys):
-    code, kv = run(capsys, "roundtrip", "--gamma", "0", "--k", "2", "--n", "50",
-                   "--T", "10", "--indices", "5")
+def test_roundtrip_gamma_zero_degenerate(tmp_path, capsys):
+    # a gamma = 0 run leaves every snapshot where it started
+    x0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 2.0]])
+    path = tmp_path / "t.efsb"
+    write_efsb(path, [x0] * 3, gamma=0.0, s=1.0, epsilon=1e-3)
+    code, kv = run(capsys, "roundtrip", "--traj", str(path), "--T", "10", "--indices", "5")
     assert code == 0
     assert float(kv["max_recovery_error"]) == 0.0
     assert kv["status"] == "pass"
 
 
-def test_roundtrip_paper_mode_reports_only(capsys):
-    code, kv = run(capsys, "roundtrip", "--n", "60", "--k", "3", "--T", "100",
+def test_roundtrip_paper_mode_reports_only(capsys, trajectory_file):
+    code, kv = run(capsys, "roundtrip", "--traj", str(trajectory_file), "--T", "100",
                    "--snapshot-mode", "paper", "--indices", "4")
     assert code == 0
     assert kv["status"] == "reported"
     assert float(kv["max_recovery_error"]) >= 0.0
 
 
-def test_roundtrip_warns_convexity_guard_once(capsys, caplog):
+def test_roundtrip_warns_convexity_guard_once(capsys, caplog, trajectory_file):
     with caplog.at_level(logging.WARNING, logger="efs"):
-        code, kv = run(capsys, "roundtrip", "--n", "60", "--k", "3", "--T", "100",
+        code, kv = run(capsys, "roundtrip", "--traj", str(trajectory_file), "--T", "100",
                        "--indices", "4")
     assert code == 0
     assert kv["indices"] == "4"
     assert sum("convexity guard" in r.message for r in caplog.records) == 1
 
 
-def test_roundtrip_reports_inner_capped(capsys):
+def test_roundtrip_reports_inner_capped(capsys, trajectory_file):
     capped = {}
     for T in ("20", "100"):
-        code, kv = run(capsys, "roundtrip", "--n", "60", "--k", "3", "--T", T,
+        code, kv = run(capsys, "roundtrip", "--traj", str(trajectory_file), "--T", T,
                        "--indices", "4")
         assert code == 0
         capped[T] = int(kv["inner_capped"])
-    # 4 indices x 3 inversions; a larger cap leaves fewer inversions capped
-    assert 12 >= capped["20"] > capped["100"] >= 1
+    # 4 indices x 5 inversions; a larger cap leaves fewer inversions capped
+    assert 20 >= capped["20"] > capped["100"] >= 1
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])
-def test_roundtrip_rejects_indices_below_one(capsys, monkeypatch, count):
-    def forward(*args, **kwargs):
-        raise AssertionError("the forward ran before --indices was checked")
+def test_roundtrip_rejects_indices_below_one(capsys, monkeypatch, trajectory_file, count):
+    def read(path):
+        raise AssertionError("the trajectory was read before --indices was checked")
 
-    monkeypatch.setattr(efs.cli, "run_forward", forward)
-    code = main(["roundtrip", "--n", "60", "--k", "3", "--T", "10", "--indices", count])
+    monkeypatch.setattr(efs.cli, "_read_trajectory", read)
+    code = main(["roundtrip", "--traj", str(trajectory_file), "--T", "10", "--indices", count])
     assert code == 2
     assert "--indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "roundtrip"])
+def test_dataset_file_is_not_a_trajectory(tmp_path, capsys, mixture_file, command):
+    out = tmp_path / "s.csv"
+    options = {"sample": ["--m", "3", "--beta", "0.1", "--T", "10", "--out", str(out)],
+               "roundtrip": ["--T", "10"]}[command]
+    code = main([command, "--traj", str(mixture_file), *options])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert f"{mixture_file}: holds 1 snapshot" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_forward_without_gamma_exits_2(tmp_path, capsys, mixture_file):
+    out = tmp_path / "t.efsb"
+    code = main(["forward", "--data", str(mixture_file), "--k", "2", "--s", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "missing required option --gamma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dataset_mixture_rejects_noise(tmp_path, capsys):
@@ -606,29 +630,3 @@ def test_dataset_mixture_rejects_noise(tmp_path, capsys):
     assert main(["dataset", "--kind", "swiss", "--n", "50", "--noise", "0.2",
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-@pytest.mark.parametrize("option", [["--n", "5"], ["--seed", "1"], ["--n", "400", "--seed", "0"]])
-def test_roundtrip_data_rejects_mixture_options(mixture_file, capsys, monkeypatch, option):
-    def forward(*args, **kwargs):
-        raise AssertionError("the forward ran before the options were checked")
-
-    monkeypatch.setattr(efs.cli, "run_forward", forward)
-    code = main(["roundtrip", "--data", str(mixture_file), "--k", "3", "--T", "10", *option])
-    assert code == 2
-    assert option[0] in capsys.readouterr().err
-
-
-def test_roundtrip_generated_mixture_defaults(capsys, monkeypatch):
-    # without --data the mixture is gaussian_mixture(400, seed=0), as before
-    seen = {}
-
-    def mixture(n, seed):
-        seen.update(n=n, seed=seed)
-        raise ValueError("stop after the mixture")
-
-    monkeypatch.setattr(efs.cli, "gaussian_mixture", mixture)
-    assert main(["roundtrip", "--k", "3"]) == 2
-    assert seen == {"n": 400, "seed": 0}
-    assert main(["roundtrip", "--k", "3", "--n", "60", "--seed", "4"]) == 2
-    assert seen == {"n": 60, "seed": 4}

@@ -86,6 +86,24 @@ def test_efsb_trailing_bytes(tmp_path, labels):
         read_efsb(path)
 
 
+# offsets into the 2-point, 1-coordinate file below: the header is 42 bytes,
+# the snapshot 16, then the label flag at 58 and the labels at 59..66
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw[:4] + (2).to_bytes(2, "little") + raw[6:], "unsupported version 2"),
+    (lambda raw: raw[:42] + np.array([np.nan], dtype="<f8").tobytes() + raw[50:],
+     "snapshot 0 has non-finite values"),
+    (lambda raw: raw[:58], "missing label flag"),
+    (lambda raw: raw[:64], "truncated label block"),
+    (lambda raw: raw[:58] + b"\x02" + raw[59:], "bad label flag 2"),
+], ids=["version", "non-finite", "no-label-flag", "truncated-labels", "bad-label-flag"])
+def test_efsb_rejects_malformed_body(tmp_path, edit, message):
+    path = tmp_path / "t.efsb"
+    write_efsb(path, [np.array([[1.0], [2.0]])], labels=[3, 4])
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError, match=f"t.efsb: {message}"):
+        read_efsb(path)
+
+
 def test_efsb_rejects_shape_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_efsb(tmp_path / "t.efsb", [random_matrix(3, 2), random_matrix(4, 2)])
