@@ -20,12 +20,12 @@ loop is capped at T iterations with early stopping on the gradient norm.
 Walking the inversions from snapshot k down to snapshot 0 transports a fresh
 point back to the data distribution.
 
-Every gradient and objective value builds the one-point differences
-``v - x_i`` in the per-coordinate layout of :func:`efs.forward.pair_blocks`:
-one length-n row per coordinate, read from the snapshot's ``columns``, a
-(d, n) transpose that :class:`ParticleSet` builds once and caches.  One
-snapshot's columns thus serve all of a batch's samples and all of their
-inner iterations against it.
+H takes its pair values from the one row block of
+``efs.forward.pair_blocks(v[None], snap.positions)``.  The inner gradient, the
+hot path, builds the same differences ``v - x_i`` inline, one length-n row per
+coordinate read from the snapshot's cached (d, n) ``columns``, which serve all
+of a batch's samples and inner iterations against it.  Both pass their ``q`` to
+:func:`efs.potential.check_separation`, so a zero separation raises.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, SingularityError
-from .forward import ParticleSet, Trajectory
-from .potential import PotentialParams, gradient_coef, pair_hessian_spectral_bound, pair_value
+from .forward import ParticleSet, Trajectory, pair_blocks
+from .potential import (PotentialParams, check_separation, gradient_coef,
+                        pair_hessian_spectral_bound, pair_value)
 
 logger = logging.getLogger(__name__)
 
@@ -97,28 +98,19 @@ class BackwardPath:
         return self.points[-1]
 
 
-def _differences(v: np.ndarray, snap: ParticleSet):
-    """``(t, sq)``: the (d, n) differences ``v - x_i`` and their squared norms.
-
-    ``t[k] = v[k] - snap.columns[k]`` holds coordinate k of every difference,
-    and ``sq`` sums their squares in coordinate order 0..d-1, the order
-    :func:`efs.forward.pair_blocks` uses.  ``sq`` is a fresh array.
-    """
-    t = v[:, None] - snap.columns
-    sq = t[0] * t[0]
-    for tk in t[1:]:
-        sq += tk * tk
-    return t, sq
-
-
 def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams) -> np.ndarray:
     """(1/n) * sum_i grad W(v - x_i) over the snapshot particles.
 
-    Works on the snapshot's cached (d, n) ``columns``: one row of
-    differences per coordinate, reduced by a (d, n) @ (n,) product.
+    Works on the snapshot's cached (d, n) ``columns``: one row of differences
+    per coordinate, squared and summed in the order of ``pair_blocks``, then
+    reduced by a (d, n) @ (n,) product.
     """
-    t, q = _differences(v, snap)
+    t = v[:, None] - snap.columns
+    q = t[0] * t[0]
+    for tk in t[1:]:
+        q += tk * tk
     q += p.epsilon
+    check_separation(q, p.epsilon)
     return t @ gradient_coef(q, p.s) / snap.n
 
 
@@ -128,21 +120,18 @@ def augmented_forward_map(y: np.ndarray, snap: ParticleSet, gamma: float,
     return y - gamma * mean_field_gradient(np.asarray(y, float), snap, p)
 
 
-def _mean_potential(v: np.ndarray, snap: ParticleSet, p: PotentialParams) -> float:
-    _, sq = _differences(v, snap)
-    q = sq + p.epsilon
-    if np.any(q == 0.0):
-        raise SingularityError("objective evaluated at a particle with epsilon=0")
-    return float(pair_value(sq, q, p.s).sum()) / snap.n
-
-
 def prox_objective(v, anchor, snap: ParticleSet, cfg: BackwardConfig,
                    p: PotentialParams) -> float:
     """The inner objective H(v); convex whenever gamma * L_W < 1."""
     v = np.asarray(v, dtype=np.float64)
     anchor = np.asarray(anchor, dtype=np.float64)
+    # one row against all n particles is a single block
+    (_i0, _i1, _t, sq), = pair_blocks(v[None], snap.positions)
+    q = sq + p.epsilon
+    check_separation(q, p.epsilon)
+    mean_w = float(pair_value(sq, q, p.s).sum()) / snap.n
     dv = v - anchor
-    return 0.5 * float(dv @ dv) - cfg.gamma * _mean_potential(v, snap, p)
+    return 0.5 * float(dv @ dv) - cfg.gamma * mean_w
 
 
 def _prox_gradient(v: np.ndarray, anchor: np.ndarray, snap: ParticleSet,
@@ -194,9 +183,9 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
     against the current one (see the module text), at most
     ``MAX_HALVINGS`` times.  Returns ``(v, residual)`` where ``residual`` is
     the final gradient norm of H at v; a residual above ``cfg.grad_tol``
-    means the T cap was reached.  Raises :class:`InstabilityError` when the
-    gradient is non-finite or when no step down to ``beta / 2**MAX_HALVINGS``
-    passes the descent test.
+    means the T cap was reached.  Raises :class:`SingularityError` on a
+    particle at eps = 0 and :class:`InstabilityError` when the gradient is
+    non-finite or no step down to ``beta / 2**MAX_HALVINGS`` descends.
     """
     if _warn:
         _warn_convexity_guard(cfg, p)
@@ -241,7 +230,7 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
     forward force on it averages over the other n - 1 particles, while the
     inversion averages over all n, which leaves an O(gamma / n) offset per
     step.  Both modes perform k inversions and return a path of k + 1
-    points.
+    points.  An inversion's error is raised prefixed with ``backward step j=``.
 
     Inversions that stop at the T cap with a residual above ``grad_tol``
     are reported in one warning per call, with their count and the worst
@@ -260,8 +249,8 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
         snap = traj.snapshots[j if snapshot_mode == "paper" else j - 1]
         try:
             cur, res = invert_step(cur, snap, cfg, traj.params, _warn=False)
-        except InstabilityError as e:
-            raise InstabilityError(f"backward step j={j}: {e}") from e
+        except (InstabilityError, SingularityError) as e:
+            raise type(e)(f"backward step j={j}: {e}") from e
         points.append(cur)
         residuals.append(res)
     residuals = np.array(residuals)

@@ -116,33 +116,37 @@ def cmd_forward(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    path_flags = [flag for flag, value in (("--i", args.i), ("--j", args.j),
-                                           ("--steps", args.steps)) if value is not None]
+    path_flags = [flag for flag, value in (("--i", args.i), ("--j", args.j)) if value is not None]
     if path_flags and args.mode != "interp":
         raise ValueError(f"{'/'.join(path_flags)} requires --mode interp")
     if path_flags and args.i is None:
         raise ValueError(f"{'/'.join(path_flags)} requires --i")
     if path_flags and args.replay:
         raise ValueError("--replay cannot be combined with --i: a path has no seeds to replay")
-    if path_flags and len(path_flags) < 3:
-        raise ValueError("--mode interp with --i needs --j and --steps")
+    if path_flags and args.seed is not None:
+        raise ValueError("--seed cannot be combined with --i: a path draws no random numbers")
+    if path_flags and args.j is None:
+        raise ValueError("--i needs --j: a path runs from particle i to particle j")
+    if path_flags and (args.m is None or args.m < 2):
+        raise ValueError("--i needs --m >= 2, the number of points on the path")
     traj, labels = _read_trajectory(args.traj)
     bwd = BackwardConfig(gamma=traj.gamma, beta=args.beta, T=args.T, grad_tol=args.grad_tol)
 
     if path_flags:
-        batch = interpolation_path(traj, args.i, args.j, args.steps, bwd,
+        batch = interpolation_path(traj, args.i, args.j, args.m, bwd,
                                    snapshot_mode=args.snapshot_mode)
     else:
         pipeline_mode = "interpolation" if args.mode == "interp" else args.mode
-        seeds = None
+        m, seeds = (1 if args.m is None else args.m), None
         if args.replay:
             _points, _labels, seeds = persist.read_csv(args.replay)
             if seeds is None:
                 raise FormatError(f"{args.replay}: expected a samples csv with a trailing seed column")
+            # the file fixes the count and the seeds, so --m and --seed go unused
             seeds = seeds.tolist()
-        m = args.m if seeds is None else len(seeds)
+            m = len(seeds)
         batch = generate_from_trajectory(
-            traj, bwd, m, mode=pipeline_mode, seed=args.seed,
+            traj, bwd, m, mode=pipeline_mode, seed=0 if args.seed is None else args.seed,
             snapshot_mode=args.snapshot_mode, seeds=seeds, keep_paths=False)
     persist.write_csv(args.out, batch.generated, seeds=batch.seeds)
     if args.svg:
@@ -254,19 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["sphere", "ball", "interp"], default="sphere",
                    help="starts: uniform on the enclosing sphere, uniform in its ball, "
                         "or interpolated between two final-snapshot particles")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int, help="number of draws (default 1) or of points on an --i path")
     p.add_argument("--beta", type=float)
     p.add_argument("--T", type=int)
     p.add_argument("--grad-tol", type=float, default=1e-10)
     p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="paper")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
-    p.add_argument("--steps", type=int)
     p.add_argument("--replay",
                    help="samples csv whose seed column to replay; the file records only seeds, "
                         "so give the --mode, --snapshot-mode, --beta, --T and "
-                        "--grad-tol that made it")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+                        "--grad-tol that made it; --m and --seed are ignored")
+    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility and ignored; samples run one at a time")
     p.add_argument("--out", required=True)

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import SingularityError
-from .potential import PotentialParams, gradient_coef, pair_value
+from .potential import PotentialParams, check_separation, gradient_coef, pair_value
 
 logger = logging.getLogger(__name__)
 
@@ -53,8 +53,7 @@ def _block_capacity(rows: int, width: int) -> int:
 class ParticleSet:
     """n points in R^d, the support of the empirical measure.
 
-    ``positions`` is an n x d float64 matrix; row i is particle x_i.  The
-    array is frozen (read-only) so sets can be shared across threads.
+    ``positions`` is a read-only n x d float64 matrix; row i is particle x_i.
 
     Two sets are equal when their positions are.  The set carries two caches
     that show in neither ``repr`` nor equality.  Each is a pure function of
@@ -231,8 +230,7 @@ def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
         lower, cuts = _upper_layout(rows, width)
         q = np.add(sq, p.epsilon, out=qbuf[:sq.size].reshape(sq.shape))
         np.copyto(q[:, :rows], 1.0, where=lower)
-        if p.epsilon == 0.0 and np.any(q == 0.0):
-            raise SingularityError("coincident particles with epsilon=0")
+        check_separation(q, p.epsilon)
         w = pair_value(sq, q, p.s, out=pbuf[:sq.size].reshape(sq.shape))
         row_energy[i0:i1] = np.add.reduceat(w.ravel(), cuts)[::2]
         if forces is not None:

@@ -8,11 +8,12 @@ efsb layout (all little-endian):
     | u8 label_flag [ n * i32 labels if flag=1 ]
 
 A single point cloud is snapshot_count=1; gamma/s/epsilon are 0 when the
-file does not carry a trajectory.  The binary format round-trips values
-bit-exactly; csv stores 17 significant digits, which also round-trips IEEE
-doubles exactly through decimal, with LF line endings and the header
-``x0,x1,...`` plus at most one trailing integer column: ``label`` (int32) or
-``seed`` (uint64, the recorded RNG seed of a generated sample).
+file does not carry a trajectory, and are never negative or non-finite.  The
+binary format round-trips values bit-exactly; csv stores 17 significant
+digits, which also round-trips IEEE doubles exactly through decimal, with LF
+line endings and the header ``x0,x1,...`` plus at most one trailing integer
+column: ``label`` (int32) or ``seed`` (uint64, the recorded RNG seed of a
+generated sample).
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ def read_efsb(path) -> EfsbFile:
     for name, value in (("n", n), ("d", d), ("snapshot_count", count)):
         if value == 0:
             raise FormatError(f"{path}: {name} is 0")
+    for name, value in (("gamma", gamma), ("s", s), ("epsilon", epsilon)):
+        if not (np.isfinite(value) and value >= 0):
+            raise FormatError(f"{path}: {name} is {value}; it must be finite and >= 0")
     off = _HEADER.size
     block = n * d * 8
     snaps = []

@@ -126,7 +126,7 @@ def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: s
                        inner_capped=capped, paths=tuple(paths) if keep_paths else None)
 
 
-def _check_request(m: int, mode: str, seeds: Optional[list]) -> None:
+def _check_request(m: int, mode: str = "sphere", seeds: Optional[list] = None) -> None:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if mode not in AUGMENTATION_MODES:
@@ -136,21 +136,16 @@ def _check_request(m: int, mode: str, seeds: Optional[list]) -> None:
 
 
 def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams,
-                 bwd: BackwardConfig, m: int, mode: str = "sphere", seed: int = 0,
-                 snapshot_mode: str = "paper", seeds: Optional[list] = None,
-                 keep_paths: bool = True):
-    """Full pipeline: forward once, augment m points, invert each.
+                 bwd: BackwardConfig, m: int, seed: int = 0):
+    """Full pipeline: forward once, draw m sphere starts, invert each.
 
-    Returns ``(Trajectory, SampleBatch)``.  Per-sample seeds are spawned from
-    ``seed`` unless an explicit ``seeds`` list is given (replay); ``m``,
-    ``mode`` and ``seeds`` are checked before the forward run.
+    Returns ``(Trajectory, SampleBatch)``, with seeds spawned from ``seed``;
+    ``m`` is checked before the forward run.  Other starts, seeds and snapshot
+    modes go through :func:`run_forward` and :func:`generate_from_trajectory`.
     """
-    _check_request(m, mode, seeds)
+    _check_request(m)
     traj = run_forward(ps0, gamma, k, params)
-    batch = generate_from_trajectory(
-        traj, bwd, m, mode=mode, seed=seed, snapshot_mode=snapshot_mode,
-        seeds=seeds, keep_paths=keep_paths)
-    return traj, batch
+    return traj, generate_from_trajectory(traj, bwd, m, seed=seed)
 
 
 def generate_from_trajectory(traj: Trajectory, bwd: BackwardConfig, m: int,

@@ -15,7 +15,10 @@ functions :func:`repulsion`, :func:`pair_value` and :func:`gradient_coef` take
 the regularized squared distance ``q = ||z||^2 + eps`` and are the one place W
 is written; the array code in forward, backward and metrics calls them on
 whole blocks of ``q``, and the forward pass has them write into buffers it
-reuses from block to block.  All functions here are pure and stateless.
+reuses from block to block.  W is undefined only at zero separation with
+eps = 0; every evaluation, here, in the forward pass and in the backward
+gradient and objective, passes its ``q`` to :func:`check_separation`, the one
+check for that case.  All functions here are pure and stateless.
 """
 
 from __future__ import annotations
@@ -97,13 +100,21 @@ def gradient_coef(q, s: float, out=None):
     return np.subtract(1.0, _power(q, -(s + 2.0) / 2.0, out), out=out)
 
 
+def check_separation(q, epsilon: float) -> None:
+    """Raise :class:`SingularityError` where ``q`` (scalar or array) is 0.
+
+    That is zero separation at ``epsilon`` = 0; for ``epsilon > 0`` the check
+    is one float comparison."""
+    if epsilon == 0.0 and np.any(np.equal(q, 0.0)):
+        raise SingularityError("coincident points: zero separation with epsilon=0")
+
+
 def potential_value(z, p: PotentialParams) -> float:
     """Evaluate W(z).  Radial: depends on ``z`` only through its norm."""
     z = _check_vector(z)
     r2 = float(z @ z)
     q = r2 + p.epsilon
-    if q == 0.0:
-        raise SingularityError("potential evaluated at zero separation with epsilon=0")
+    check_separation(q, p.epsilon)
     return pair_value(r2, q, p.s)
 
 
@@ -112,8 +123,7 @@ def potential_gradient(z, p: PotentialParams) -> np.ndarray:
     z = _check_vector(z)
     r2 = float(z @ z)
     q = r2 + p.epsilon
-    if q == 0.0:
-        raise SingularityError("gradient at zero separation with epsilon=0")
+    check_separation(q, p.epsilon)
     return z * gradient_coef(q, p.s)
 
 

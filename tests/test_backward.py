@@ -8,6 +8,7 @@ from efs import (
     InstabilityError,
     ParticleSet,
     PotentialParams,
+    SingularityError,
     augmented_forward_map,
     invert_step,
     potential_gradient,
@@ -155,12 +156,35 @@ def test_invert_divergence_raises():
 
 def test_invert_from_a_snapshot_particle_at_zero_epsilon_raises():
     # at eps = 0 the pair with the coincident particle is singular, so the
-    # first gradient is NaN and the solver stops before any step
+    # first gradient raises before any step
     snap = random_set(10, 2, seed=9)
     cfg = BackwardConfig(gamma=0.1, beta=0.1, T=10)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(InstabilityError, match="diverged"):
-            invert_step(snap.positions[3], snap, cfg, PotentialParams(1.0, 0.0), _warn=False)
+    with pytest.raises(SingularityError, match="coincident points: zero separation"):
+        invert_step(snap.positions[3], snap, cfg, PotentialParams(1.0, 0.0), _warn=False)
+
+
+def test_one_point_sites_raise_at_a_snapshot_particle_at_zero_epsilon():
+    snap = random_set(10, 2, seed=9)
+    p = PotentialParams(1.0, 0.0)
+    x = snap.positions[3]
+    cfg = BackwardConfig(gamma=0.1, beta=0.1, T=10)
+    for site in (lambda: mean_field_gradient(x, snap, p),
+                 lambda: augmented_forward_map(x, snap, 0.1, p),
+                 lambda: prox_objective(x, x, snap, cfg, p)):
+        with pytest.raises(SingularityError, match="epsilon=0"):
+            site()
+    # off the particles the same eps = 0 gradient is finite and raises nothing
+    assert np.all(np.isfinite(mean_field_gradient(x + 0.5, snap, p)))
+
+
+def test_run_backward_names_the_step_of_a_zero_separation():
+    ps = random_set(12, 2, seed=12)
+    p = PotentialParams(1.0, 0.0)
+    traj = run_forward(ps, 0.005, 4, p)
+    cfg = BackwardConfig(gamma=0.005, beta=0.5, T=50)
+    # paper mode inverts step 4 against x^(4) first, from one of its particles
+    with pytest.raises(SingularityError, match="^backward step j=4: coincident"):
+        run_backward(traj.snapshots[-1].positions[2], traj, cfg, _warn=False)
 
 
 def test_convexity_guard_warning(caplog):

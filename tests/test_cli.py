@@ -3,6 +3,7 @@ import inspect
 import logging
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -140,7 +141,7 @@ def test_every_option_is_read_by_its_command():
             if not re.search(rf"\bargs\.{action.dest}\b", source):
                 unread.append(f"{name} {action.option_strings[0]}")
     assert unread == []
-    assert count == 45
+    assert count == 44
 
 
 def test_benchmark_argv_parses():
@@ -283,6 +284,26 @@ def test_forward_singularity_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "--snapshot-mode", "paper", "--indices", "2", "--T", "20"],
+    ["sample", "--mode", "interp", "--i", "0", "--j", "1", "--m", "2", "--beta", "0.1",
+     "--T", "20", "--out", "s.csv"],
+])
+def test_backward_from_a_particle_at_zero_epsilon_exits_3(tmp_path, capsys, monkeypatch,
+                                                           mixture_file, argv):
+    # each run starts on a final-snapshot particle, where one pair of W is singular
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, "forward", "--data", str(mixture_file), "--gamma", "0.01",
+                  "--k", "3", "--s", "1", "--epsilon", "0", "--out", "t.efsb")
+    assert code == 0
+    code = main(argv + ["--traj", "t.efsb"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "backward step j=3: coincident points: zero separation with epsilon=0" in err
+    assert "step size" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ---------------------------------------------------------------- sample
 
 def test_sample_sphere_mode(tmp_path, capsys, trajectory_file):
@@ -333,10 +354,12 @@ def test_sample_ball_mode_and_replay(tmp_path, capsys, trajectory_file):
 @pytest.mark.parametrize("options, flag", [
     (["--mode", "sphere", "--i", "1"], "--i"),
     (["--mode", "ball", "--j", "2"], "--j"),
-    (["--steps", "3"], "--steps"),
+    (["--mode", "interp", "--i", "1", "--j", "2", "--m", "3", "--seed", "4"], "--seed"),
     (["--mode", "interp", "--j", "2"], "--j"),
-    (["--mode", "interp", "--steps", "3", "--m", "2"], "--steps"),
-    (["--mode", "interp", "--i", "1", "--j", "2", "--steps", "3", "--replay"], "--replay"),
+    (["--mode", "interp", "--i", "1", "--m", "3"], "--j"),
+    (["--mode", "interp", "--i", "1", "--j", "2", "--m", "3", "--replay"], "--replay"),
+    (["--mode", "interp", "--i", "1", "--j", "2"], "--m"),
+    (["--mode", "interp", "--i", "1", "--j", "2", "--m", "1"], "--m >= 2"),
 ])
 def test_sample_rejects_options_it_would_drop(tmp_path, capsys, trajectory_file, options, flag):
     seeds_file = tmp_path / "seeds.csv"
@@ -386,10 +409,20 @@ def test_sample_zero_snapshot_trajectory_is_io_error(tmp_path, capsys):
     assert code == 4
 
 
+def test_sample_rejects_a_nan_gamma_header(tmp_path, capsys, trajectory_file):
+    raw = bytearray(trajectory_file.read_bytes())
+    raw[18:26] = struct.pack("<d", float("nan"))  # gamma follows the 18-byte preamble
+    trajectory_file.write_bytes(bytes(raw))
+    code = main(["sample", "--traj", str(trajectory_file), "--beta", "0.1", "--T", "10",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 4
+    assert "gamma is nan" in capsys.readouterr().err
+
+
 def test_sample_interpolation_path(tmp_path, capsys, trajectory_file):
     out = tmp_path / "interp.csv"
     code, kv = run(capsys, "sample", "--traj", str(trajectory_file),
-                   "--mode", "interp", "--i", "3", "--j", "17", "--steps", "20",
+                   "--mode", "interp", "--i", "3", "--j", "17", "--m", "20",
                    "--beta", "0.1", "--T", "200", "--out", str(out))
     assert code == 0
     assert kv["m"] == "20"
@@ -400,7 +433,7 @@ def test_sample_path_file_has_no_seeds_and_cannot_be_replayed(tmp_path, capsys,
                                                               trajectory_file):
     path = tmp_path / "path.csv"
     code, _ = run(capsys, "sample", "--traj", str(trajectory_file),
-                  "--mode", "interp", "--i", "3", "--j", "17", "--steps", "4",
+                  "--mode", "interp", "--i", "3", "--j", "17", "--m", "4",
                   "--beta", "0.1", "--T", "50", "--out", str(path))
     assert code == 0
     assert path.read_text().splitlines()[0] == "x0,x1"

@@ -77,6 +77,16 @@ def test_efsb_zero_header_field(tmp_path, field, offset):
         read_efsb(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("field", ["gamma", "s", "epsilon"])
+def test_efsb_rejects_bad_run_parameter(tmp_path, field, value):
+    # zero stays valid (a point cloud stores zeros); the other two fields are 0 here
+    path = tmp_path / "t.efsb"
+    write_efsb(path, [random_matrix(4, 2)], **{field: value})
+    with pytest.raises(FormatError, match=f"t.efsb: {field} is {value}"):
+        read_efsb(path)
+
+
 @pytest.mark.parametrize("labels", [None, [0, 1, 2, 3]])
 def test_efsb_trailing_bytes(tmp_path, labels):
     path = tmp_path / "t.efsb"

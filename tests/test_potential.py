@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from efs import (
+    BackwardConfig,
     ParticleSet,
     PotentialParams,
     SingularityError,
@@ -10,6 +11,7 @@ from efs import (
     pair_hessian_spectral_bound,
     potential_gradient,
     potential_value,
+    prox_objective,
 )
 from efs.backward import mean_field_gradient
 from efs.rng import SplitMix64
@@ -173,7 +175,12 @@ def test_array_sites_match_pairwise_loop(s):
     assert interaction_energy(ps, p) == pytest.approx(energy / (n * (n - 1)), rel=1e-12)
     np.testing.assert_allclose(forward_gradient(ps, p), forces / (n - 1),
                                rtol=1e-11, atol=1e-13)
+    cfg = BackwardConfig(gamma=0.1, beta=0.1, T=10)
     for v in SplitMix64(12).normals(3 * 2).reshape(3, 2):
         mean = sum(potential_gradient(v - xa, p) for xa in x) / n
         np.testing.assert_allclose(mean_field_gradient(v, ps, p), mean,
                                    rtol=1e-12, atol=1e-14)
+        # anchored at v, H(v) is -gamma times the mean of W
+        mean_w = sum(potential_value(v - xa, p) for xa in x) / n
+        assert prox_objective(v, v, ps, cfg, p) == pytest.approx(-cfg.gamma * mean_w,
+                                                                 rel=1e-12)
