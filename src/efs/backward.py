@@ -22,9 +22,8 @@ point back to the data distribution.
 
 H takes its pair values from the one row block of
 ``efs.forward.pair_blocks(v[None], snap.positions)``.  The inner gradient, the
-hot path, builds the same differences ``v - x_i`` inline, one length-n row per
-coordinate read from the snapshot's cached (d, n) ``columns``, which serve all
-of a batch's samples and inner iterations against it.  Both pass their ``q`` to
+hot path, builds the same differences ``v - x_i`` inline from the stored
+positions, one length-n row per coordinate.  Both pass their ``q`` to
 :func:`efs.potential.check_separation`, so a zero separation raises.
 """
 
@@ -101,11 +100,11 @@ class BackwardPath:
 def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams) -> np.ndarray:
     """(1/n) * sum_i grad W(v - x_i) over the snapshot particles.
 
-    Works on the snapshot's cached (d, n) ``columns``: one row of differences
-    per coordinate, squared and summed in the order of ``pair_blocks``, then
-    reduced by a (d, n) @ (n,) product.
+    Builds a (d, n) C-ordered block of differences from the transposed
+    positions: one row per coordinate, squared and summed in the order of
+    ``pair_blocks``, then reduced by a (d, n) @ (n,) product.
     """
-    t = v[:, None] - snap.columns
+    t = np.subtract(v[:, None], snap.positions.T, order="C")
     q = t[0] * t[0]
     for tk in t[1:]:
         q += tk * tk
@@ -140,10 +139,9 @@ def _prox_gradient(v: np.ndarray, anchor: np.ndarray, snap: ParticleSet,
 
 
 def _warn_convexity_guard(cfg: BackwardConfig, p: PotentialParams):
-    if p.epsilon <= 0:
-        return
-    bound = 1.0 / pair_hessian_spectral_bound(p)
-    if cfg.gamma >= bound:
+    # at eps = 0 L_W is unbounded, so every gamma > 0 is above the guard
+    bound = 1.0 / pair_hessian_spectral_bound(p) if p.epsilon > 0 else 0.0
+    if cfg.gamma > 0 and cfg.gamma >= bound:
         logger.warning(
             "gamma=%g is at or above the convexity guard 1/L_W=%g; "
             "the proximal objective may be nonconvex near particles",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,17 +55,11 @@ class ParticleSet:
 
     ``positions`` is a read-only n x d float64 matrix; row i is particle x_i.
 
-    Two sets are equal when their positions are.  The set carries two caches
-    that show in neither ``repr`` nor equality.  Each is a pure function of
-    the read-only positions (and of the params), so a cached value never goes
-    stale:
-
-    - ``_energy`` caches E_n per :class:`PotentialParams`.  It is filled by
-      :func:`forward_gradient` and :func:`interaction_energy` and read by the
-      latter.
-    - ``columns`` is the read-only (d, n) C-contiguous transpose of the
-      positions, built on first access.  :mod:`efs.backward` reads it for
-      every inner gradient against this snapshot.
+    Two sets are equal when their positions are.  Beside the positions the set
+    holds one cache, ``_energy``, which shows in neither ``repr`` nor equality:
+    E_n per :class:`PotentialParams`, filled by :func:`forward_gradient` and
+    :func:`interaction_energy` and read by the latter.  It is a pure function
+    of the read-only positions and the params, so it never goes stale.
     """
 
     positions: np.ndarray
@@ -96,13 +90,6 @@ class ParticleSet:
     @property
     def d(self) -> int:
         return self.positions.shape[1]
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """Coordinate k of every particle in row k: a (d, n) read-only array."""
-        cols = np.ascontiguousarray(self.positions.T)
-        cols.setflags(write=False)
-        return cols
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ def test_every_option_is_read_by_its_command():
             if not re.search(rf"\bargs\.{action.dest}\b", source):
                 unread.append(f"{name} {action.option_strings[0]}")
     assert unread == []
-    assert count == 44
+    assert count == 41
 
 
 def test_benchmark_argv_parses():
@@ -153,6 +153,38 @@ def test_benchmark_argv_parses():
                   "--T", "300", "--seed", "1", "--threads", "1", "--out", "s.csv",
                   "--replay", "r.csv"]):
         assert parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-v", "dataset", "--kind", "mixture", "--n", "10", "--out", "d.efsb"],
+    ["forward", "--data", "d.efsb", "--gamma", "0.1", "--k", "2", "--s", "1", "--out", "t.efsb",
+     "--energy-out", "e.csv"],
+    ["sample", "--traj", "t.efsb", "--beta", "0.1", "--T", "10", "--out", "s.csv",
+     "--grad-tol", "1e-9"],
+    ["roundtrip", "--traj", "t.efsb", "--tol", "0.1"],
+])
+def test_removed_options_are_unknown(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, code", [("-1", 2), (str(2**64), 2), (str(2**64 - 1), 0)])
+@pytest.mark.parametrize("command", ["dataset", "sample"])
+def test_seed_must_fit_64_bits(tmp_path, capsys, trajectory_file, command, value, code):
+    # the library reduces a seed mod 2**64, so -1 would draw what 2**64 - 1 draws
+    out = tmp_path / "out.csv"
+    options = {"dataset": ["--kind", "mixture", "--n", "10"],
+               "sample": ["--traj", str(trajectory_file), "--beta", "0.1", "--T", "10"]}[command]
+    try:
+        got = main([command, *options, "--seed", value, "--out", str(out)])
+    except SystemExit as e:
+        got = e.code
+    assert got == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "argument --seed: must be in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():
@@ -604,6 +636,19 @@ def test_roundtrip_warns_convexity_guard_once(capsys, caplog, trajectory_file):
     assert code == 0
     assert kv["indices"] == "4"
     assert sum("convexity guard" in r.message for r in caplog.records) == 1
+
+
+@pytest.mark.parametrize("gamma, lines", [(0.01, 1), (0.0, 0)])
+def test_roundtrip_at_zero_epsilon_warns_convexity_guard_when_gamma_is_positive(
+        tmp_path, capsys, caplog, gamma, lines):
+    # at eps = 0 L_W is unbounded, so every gamma > 0 is above the guard
+    x0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 2.0]])
+    path = tmp_path / "t.efsb"
+    write_efsb(path, [x0, x0 + 0.25], gamma=gamma, s=1.0, epsilon=0.0)
+    with caplog.at_level(logging.WARNING, logger="efs"):
+        code, _ = run(capsys, "roundtrip", "--traj", str(path), "--T", "20", "--indices", "5")
+    assert code == 0
+    assert sum("convexity guard" in r.message for r in caplog.records) == lines
 
 
 def test_roundtrip_reports_inner_capped(capsys, trajectory_file):

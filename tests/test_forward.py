@@ -48,28 +48,11 @@ def test_particle_set_is_frozen():
         ps.positions[0, 0] = 99.0
 
 
-@pytest.mark.parametrize("d", [1, 3])
-def test_particle_set_columns(d):
-    ps = random_set(5, d, seed=3)
-    cols = ps.columns
-    assert cols.shape == (d, 5)
-    assert cols.flags.c_contiguous and not cols.flags.writeable
-    with pytest.raises(ValueError):
-        cols[0, 0] = 99.0
-    assert ps.columns is cols
-    np.testing.assert_array_equal(cols, ps.positions.T)
-
-
-def test_particle_set_columns_outside_repr_and_equality():
+def test_particle_set_repr_and_equality():
     ps = random_set(4, 2, seed=8)
     fresh = ParticleSet(ps.positions)
-    text = repr(ps)
-    ps.columns
-    assert repr(ps) == text == repr(fresh)
-    assert "columns" not in text
+    assert repr(ps) == repr(fresh)
     assert ps == fresh and fresh == ps
-    fresh.columns
-    assert ps == fresh
     assert ps != random_set(4, 2, seed=9)
     assert ps != random_set(3, 2, seed=8)
 
