@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,11 +53,11 @@ MAX_HALVINGS = 30
 class BackwardConfig:
     """Inner-loop settings for the proximal inversion.
 
-    ``gamma`` must equal the trajectory's forward step size; ``beta`` is the
-    initial (largest) inner gradient step, which the descent safeguard may
-    halve within an iteration; ``T`` caps inner iterations; ``grad_tol``
-    stops the inner loop early once the objective gradient norm falls below
-    it.
+    ``gamma`` is the step size :func:`invert_step` undoes (:func:`run_backward`
+    uses the trajectory's own); ``beta`` is the initial (largest) inner
+    gradient step, which the descent safeguard may halve within an
+    iteration; ``T`` caps inner iterations; ``grad_tol`` stops the inner loop
+    early once the objective gradient norm falls below it.
     """
 
     gamma: float
@@ -66,14 +66,14 @@ class BackwardConfig:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.grad_tol < 0:
-            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -138,37 +138,28 @@ def _prox_gradient(v: np.ndarray, anchor: np.ndarray, snap: ParticleSet,
     return v - anchor - cfg.gamma * mean_field_gradient(v, snap, p)
 
 
-def _warn_convexity_guard(cfg: BackwardConfig, p: PotentialParams):
+def _warn_convexity_guard(gamma: float, p: PotentialParams):
     # at eps = 0 L_W is unbounded, so every gamma > 0 is above the guard
     bound = 1.0 / pair_hessian_spectral_bound(p) if p.epsilon > 0 else 0.0
-    if cfg.gamma > 0 and cfg.gamma >= bound:
+    if gamma > 0 and gamma >= bound:
         logger.warning(
             "gamma=%g is at or above the convexity guard 1/L_W=%g; "
             "the proximal objective may be nonconvex near particles",
-            cfg.gamma, bound,
+            gamma, bound,
         )
 
 
-def _warn_config(cfg: BackwardConfig, traj: Trajectory):
-    """Log a gamma mismatch with ``traj`` and a ``cfg`` above the convexity guard."""
-    if cfg.gamma != traj.gamma:
-        logger.warning("backward gamma=%g differs from trajectory gamma=%g",
-                       cfg.gamma, traj.gamma)
-    _warn_convexity_guard(cfg, traj.params)
+def _warn_capped(residuals: np.ndarray, cfg: BackwardConfig) -> int:
+    """Count a batch's inversions that stopped at the T cap above ``grad_tol``.
 
-
-def _warn_capped(residuals: np.ndarray, cfg: BackwardConfig, scope: str = "") -> int:
-    """Count the inversions that stopped at the T cap above ``grad_tol``.
-
-    Logs one warning with the count and the worst residual when any did;
-    ``scope`` is inserted after "inversions" to say what was counted.
+    Logs one warning with the count and the worst residual when any did.
     """
     capped = int(np.count_nonzero(residuals > cfg.grad_tol))
     if capped:
         logger.warning(
-            "%d of %d inversions%s stopped at the T=%d cap above grad_tol=%g "
+            "%d of %d inversions in the batch stopped at the T=%d cap above grad_tol=%g "
             "(worst residual %.3g)",
-            capped, residuals.size, scope, cfg.T, cfg.grad_tol, float(residuals.max()))
+            capped, residuals.size, cfg.T, cfg.grad_tol, float(residuals.max()))
     return capped
 
 
@@ -186,7 +177,7 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
     non-finite or no step down to ``beta / 2**MAX_HALVINGS`` descends.
     """
     if _warn:
-        _warn_convexity_guard(cfg, p)
+        _warn_convexity_guard(cfg.gamma, p)
     y = np.asarray(y_j, dtype=np.float64)
     v = y.copy()
     g = _prox_gradient(v, y, snap, cfg, p)
@@ -215,7 +206,7 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
 
 
 def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
-                 snapshot_mode: str = "paper", _warn: bool = True) -> BackwardPath:
+                 snapshot_mode: str = "paper") -> BackwardPath:
     """Walk the inversions from snapshot k down to snapshot 0.
 
     ``snapshot_mode="paper"`` uses the same-index schedule: step j inverts
@@ -230,20 +221,18 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
     step.  Both modes perform k inversions and return a path of k + 1
     points.  An inversion's error is raised prefixed with ``backward step j=``.
 
-    Inversions that stop at the T cap with a residual above ``grad_tol``
-    are reported in one warning per call, with their count and the worst
-    residual.  ``_warn=False`` skips that warning and the gamma-mismatch
-    and convexity-guard warnings, so a batch can log each of them once.
+    Every step is inverted with ``traj.gamma``, the only step size that
+    undoes the forward map, so ``cfg.gamma`` is not used.  Nothing is
+    logged: a T-capped inversion is an ``inner_residuals`` entry above
+    ``grad_tol``, which :func:`efs.pipeline.invert_batch` reports.
     """
     if snapshot_mode not in SNAPSHOT_MODES:
         raise ValueError(f"snapshot_mode must be one of {SNAPSHOT_MODES}")
-    if _warn:
-        _warn_config(cfg, traj)
-    k = traj.k
+    cfg = replace(cfg, gamma=traj.gamma)
     cur = np.asarray(y_k, dtype=np.float64)
     points = [cur]
     residuals = []
-    for j in range(k, 0, -1):
+    for j in range(traj.k, 0, -1):
         snap = traj.snapshots[j if snapshot_mode == "paper" else j - 1]
         try:
             cur, res = invert_step(cur, snap, cfg, traj.params, _warn=False)
@@ -251,7 +240,4 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
             raise type(e)(f"backward step j={j}: {e}") from e
         points.append(cur)
         residuals.append(res)
-    residuals = np.array(residuals)
-    if _warn:
-        _warn_capped(residuals, cfg)
-    return BackwardPath(np.array(points), residuals)
+    return BackwardPath(np.array(points), np.array(residuals))

@@ -21,7 +21,7 @@ from .backward import BackwardConfig
 from .datasets import gaussian_mixture, load_points, save_points, swiss_roll
 from .errors import DegenerateEnclosureError, FormatError, InstabilityError, SingularityError
 from .forward import ParticleSet, Trajectory, run_forward
-from .metrics import energy_trace, mmd_squared, nn_novelty, uniformity_report
+from .metrics import check_mmd_params, energy_trace, mmd_squared, nn_novelty, uniformity_report
 from .pipeline import generate_from_trajectory, interpolation_path, invert_batch
 from .potential import PotentialParams
 
@@ -100,8 +100,8 @@ def cmd_dataset(args) -> int:
 
 def cmd_forward(args) -> int:
     lp = load_points(args.data)
-    if args.gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (np.isfinite(args.gamma) and args.gamma > 0):
+        raise ValueError(f"--gamma must be finite and > 0, got {args.gamma}")
     s = resolve_exponent(args.s, lp.points.d)
     params = PotentialParams(s=s, epsilon=args.epsilon)
     traj = run_forward(lp.points, args.gamma, args.k, params)
@@ -174,7 +174,13 @@ def cmd_sample(args) -> int:
 def cmd_metrics(args) -> int:
     if args.snapshot is not None and not str(args.points).endswith(".efsb"):
         raise ValueError("--snapshot needs an .efsb trajectory as --points")
-    did = False
+    if not (args.points or args.mmd or args.nn):
+        raise ValueError("nothing to do: pass --points, --mmd or --nn")
+    if args.mmd:
+        mmd_params = PotentialParams(s=args.s, epsilon=args.epsilon)
+        check_mmd_params(mmd_params)
+    # printed only once every requested report is computed
+    lines = []
     if args.points:
         if str(args.points).endswith(".efsb"):
             snapshots = persist.read_efsb(args.points).snapshots
@@ -185,27 +191,21 @@ def cmd_metrics(args) -> int:
         else:
             points = load_points(args.points).points
         report = uniformity_report(points)
-        print(f"radial_ks={report.radial_ks:.17g}")
+        lines.append(f"radial_ks={report.radial_ks:.17g}")
         if report.angular_ks is not None:
-            print(f"angular_ks={report.angular_ks:.17g}")
-        print(f"radius={report.enclosure.radius:.17g}")
-        did = True
+            lines.append(f"angular_ks={report.angular_ks:.17g}")
+        lines.append(f"radius={report.enclosure.radius:.17g}")
     if args.mmd:
         a = load_points(args.mmd[0]).points
         b = load_points(args.mmd[1]).points
-        value = mmd_squared(a, b, PotentialParams(s=args.s, epsilon=args.epsilon))
-        print(f"mmd2={value:.17g}")
-        did = True
+        lines.append(f"mmd2={mmd_squared(a, b, mmd_params):.17g}")
     if args.nn:
         gen = load_points(args.nn[0]).points
         train = load_points(args.nn[1]).points
         min_nn, mean_nn, self_nn = nn_novelty(gen, train)
-        print(f"min_nn={min_nn:.17g}")
-        print(f"mean_nn={mean_nn:.17g}")
-        print(f"self_nn_mean={self_nn:.17g}")
-        did = True
-    if not did:
-        raise ValueError("nothing to do: pass --points, --mmd or --nn")
+        lines += [f"min_nn={min_nn:.17g}", f"mean_nn={mean_nn:.17g}",
+                  f"self_nn_mean={self_nn:.17g}"]
+    print("\n".join(lines))
     return 0
 
 

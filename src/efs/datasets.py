@@ -46,6 +46,8 @@ def gaussian_mixture(n: int, means=None, stds=None, weights=None,
     Defaults to four components at (+-2, +-2) with std 0.3 and equal
     weights.  Consumes n component uniforms first, then n*d normals.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if means is None:
         means = DEFAULT_MIXTURE_MEANS
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
@@ -80,6 +82,8 @@ def swiss_roll(n: int, noise: float = 0.2, seed: int = 0) -> LabeledPoints:
     Labels bucket theta into quartiles for coloring.  Consumes n theta
     uniforms first, then 2n normals.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if noise < 0:
         raise ValueError("noise must be >= 0")
     rng = SplitMix64(seed)

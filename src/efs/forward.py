@@ -263,8 +263,8 @@ def forward_gradient(ps: ParticleSet, p: PotentialParams) -> np.ndarray:
 
 def forward_step(ps: ParticleSet, gamma: float, p: PotentialParams) -> ParticleSet:
     """One simultaneous gradient step; preserves the center of mass."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     delta = forward_gradient(ps, p)
     return ParticleSet(ps.positions - gamma * delta)
 

@@ -53,18 +53,23 @@ def _kernel_mean(a: np.ndarray, b: np.ndarray, s: float, eps: float) -> float:
     return math.fsum(sums) / (a.shape[0] * b.shape[0])
 
 
+def check_mmd_params(p: PotentialParams) -> None:
+    """The MMD kernel needs s > 0 and epsilon > 0."""
+    if p.s <= 0:
+        raise ValueError("the MMD kernel requires s > 0")
+    if p.epsilon <= 0:
+        raise ValueError("the regularized MMD requires epsilon > 0")
+
+
 def mmd_squared(a: ParticleSet, b: ParticleSet, p: PotentialParams) -> float:
     """Squared MMD between two point sets under the repulsion kernel.
 
     Symmetric, translation invariant, zero on identical multisets,
     nonnegative up to roundoff.
     """
-    if p.s <= 0:
-        raise ValueError("the MMD kernel requires s > 0")
+    check_mmd_params(p)
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-    if p.epsilon <= 0:
-        raise ValueError("the regularized MMD requires epsilon > 0")
     return (_kernel_mean(a.positions, a.positions, p.s, p.epsilon)
             + _kernel_mean(b.positions, b.positions, p.s, p.epsilon)
             - 2.0 * _kernel_mean(a.positions, b.positions, p.s, p.epsilon))

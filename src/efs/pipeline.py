@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backward import BackwardConfig, BackwardPath, _warn_capped, _warn_config, run_backward
+from .backward import BackwardConfig, _warn_capped, _warn_convexity_guard, run_backward
 from .errors import DegenerateEnclosureError
 from .forward import ParticleSet, Trajectory, run_forward
 from .potential import PotentialParams
@@ -51,7 +51,7 @@ class SampleBatch:
     deterministic ``interpolation_path`` and roundtrip batches); a batch
     regenerates bit-exactly from its seeds, mode and configs.
     ``inner_capped`` counts the inversions of the whole batch that stopped at
-    the T cap with a residual above ``grad_tol``.
+    the T cap with a residual above ``grad_tol``, as the batch's warning does.
     """
 
     generated: np.ndarray
@@ -109,18 +109,18 @@ def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: s
                  keep_paths: bool = True) -> SampleBatch:
     """Invert each start back through ``traj`` and collect the batch.
 
-    The convexity guard and a gamma mismatch are checked and logged once per
-    batch; ``inner_capped`` counts the batch's T-capped inversions, which are
-    reported in one warning per batch with the worst residual.
+    Each step is inverted with ``traj.gamma`` (see :func:`run_backward`).
+    This is the one place a backward run is reported, once per batch: a
+    ``traj.gamma`` above the convexity guard, and the T-capped inversions
+    that ``inner_capped`` counts, with the worst residual.
     """
-    _warn_config(bwd, traj)
+    _warn_convexity_guard(traj.gamma, traj.params)
     try:
-        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode, _warn=False)
-                 for y in starts]
+        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode) for y in starts]
     except Exception as e:
         raise type(e)(f"backward stage: {e}") from e
     residuals = np.concatenate([p.inner_residuals for p in paths])
-    capped = _warn_capped(residuals, bwd, " in the batch")
+    capped = _warn_capped(residuals, bwd)
     return SampleBatch(generated=np.array([p.generated for p in paths]),
                        seeds=None if seeds is None else tuple(seeds), mode=mode,
                        inner_capped=capped, paths=tuple(paths) if keep_paths else None)
@@ -140,7 +140,8 @@ def efs_generate(ps0: ParticleSet, gamma: float, k: int, params: PotentialParams
     """Full pipeline: forward once, draw m sphere starts, invert each.
 
     Returns ``(Trajectory, SampleBatch)``, with seeds spawned from ``seed``;
-    ``m`` is checked before the forward run.  Other starts, seeds and snapshot
+    ``m`` is checked before the forward run; ``bwd.gamma`` is not used (the
+    backward pass inverts with ``gamma``).  Other starts, seeds and snapshot
     modes go through :func:`run_forward` and :func:`generate_from_trajectory`.
     """
     _check_request(m)

@@ -608,6 +608,50 @@ def test_metrics_nothing_to_do(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["metrics_mmd_epsilon_0", "metrics_nn_missing_file",
+                                  "sample_beta_nan", "forward_gamma_nan", "forward_gamma_inf",
+                                  "dataset_n_negative"])
+def test_failing_command_writes_nothing_to_stdout(tmp_path, capsys, mixture_file,
+                                                  trajectory_file, case):
+    out = str(tmp_path / "out.csv")
+    argv, code, message = {
+        "metrics_mmd_epsilon_0": (["metrics", "--points", str(trajectory_file), "--mmd",
+                                   str(mixture_file), str(mixture_file), "--epsilon", "0"],
+                                  2, "epsilon > 0"),
+        "metrics_nn_missing_file": (["metrics", "--points", str(trajectory_file), "--nn",
+                                     str(tmp_path / "missing.csv"), str(mixture_file)],
+                                    4, "missing.csv"),
+        "sample_beta_nan": (["sample", "--traj", str(trajectory_file), "--beta", "nan",
+                             "--T", "10", "--out", out], 2, "beta must be finite"),
+        "forward_gamma_nan": (["forward", "--data", str(mixture_file), "--gamma", "nan",
+                               "--k", "2", "--s", "1", "--out", str(tmp_path / "t.efsb")],
+                              2, "--gamma must be finite and > 0, got nan"),
+        "forward_gamma_inf": (["forward", "--data", str(mixture_file), "--gamma", "inf",
+                               "--k", "2", "--s", "1", "--out", str(tmp_path / "t.efsb")],
+                              2, "--gamma must be finite and > 0, got inf"),
+        "dataset_n_negative": (["dataset", "--kind", "swiss", "--n", "-3", "--out", out],
+                               2, "n must be >= 1"),
+    }[case]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_metrics_mmd_parameters_are_checked_before_any_file_is_read(capsys, monkeypatch,
+                                                                    trajectory_file):
+    def read(path):
+        raise AssertionError(f"{path} was read before the MMD parameters were checked")
+
+    monkeypatch.setattr(efs.cli.persist, "read_efsb", read)
+    monkeypatch.setattr(efs.cli, "load_points", read)
+    for flag, value, message in (("--epsilon", "0", "epsilon > 0"), ("--s", "0", "s > 0")):
+        code = main(["metrics", "--points", str(trajectory_file), "--mmd", "a.csv", "b.csv",
+                     flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- roundtrip
 
 def test_roundtrip_gamma_zero_degenerate(tmp_path, capsys):

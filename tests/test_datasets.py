@@ -90,6 +90,13 @@ def test_swiss_noise_validation():
         swiss_roll(10, noise=-0.1)
 
 
+@pytest.mark.parametrize("make", [gaussian_mixture, swiss_roll])
+@pytest.mark.parametrize("n", [0, -3])
+def test_generators_reject_counts_below_one(make, n):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        make(n)
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_labeled_points_validation():

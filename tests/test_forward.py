@@ -172,6 +172,12 @@ def test_step_rejects_negative_gamma():
         forward_step(pair(2.0), -0.1, S1)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_step_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="^gamma must be finite"):
+        forward_step(pair(2.0), gamma, S1)
+
+
 # ---------------------------------------------------------------- run_forward
 
 def test_run_forward_definition():

@@ -286,16 +286,21 @@ def test_batch_counts_capped_inversions():
     assert generate_from_trajectory(traj, BackwardConfig(0.01, 0.5, 2), 3).inner_capped == 12
 
 
-def test_gamma_mismatch_warned_once_per_batch(caplog):
+def test_batch_inverts_with_the_trajectory_gamma(caplog):
     traj = small_trajectory(seed=9)
-    other = BackwardConfig(gamma=0.009, beta=0.5, T=20)
-    with caplog.at_level(logging.WARNING, logger="efs.backward"):
-        generate_from_trajectory(traj, other, 3, seed=1)
-    assert sum("differs from trajectory gamma" in r.message for r in caplog.records) == 1
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="efs.backward"):
-        interpolation_path(traj, 0, 1, 3, other)
-    assert sum("differs from trajectory gamma" in r.message for r in caplog.records) == 1
+    other = BackwardConfig(gamma=0.009, beta=0.5, T=300)
+    for run in (lambda cfg: generate_from_trajectory(traj, cfg, 3, seed=1),
+                lambda cfg: interpolation_path(traj, 0, 1, 3, cfg)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            batch = run(other)
+        # one line: the convexity guard on traj.gamma, which SMALL_BWD shares
+        assert len(caplog.records) == 1
+        assert caplog.records[0].message.startswith("gamma=0.01 is at or above")
+        same = run(SMALL_BWD)
+        np.testing.assert_array_equal(batch.generated, same.generated)
+        for a, b in zip(batch.paths, same.paths):
+            np.testing.assert_array_equal(a.inner_residuals, b.inner_residuals)
 
 
 def test_capped_batch_logs_one_summary(caplog):
