@@ -110,7 +110,7 @@ def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams) ->
         q += tk * tk
     q += p.epsilon
     check_separation(q, p.epsilon)
-    return t @ gradient_coef(q, p.s) / snap.n
+    return t @ gradient_coef(q, p.s, out=q) / snap.n
 
 
 def augmented_forward_map(y: np.ndarray, snap: ParticleSet, gamma: float,

@@ -177,8 +177,13 @@ def cmd_metrics(args) -> int:
     if not (args.points or args.mmd or args.nn):
         raise ValueError("nothing to do: pass --points, --mmd or --nn")
     if args.mmd:
-        mmd_params = PotentialParams(s=args.s, epsilon=args.epsilon)
+        mmd_params = PotentialParams(s=1.0 if args.s is None else args.s,
+                                     epsilon=1e-3 if args.epsilon is None else args.epsilon)
         check_mmd_params(mmd_params)
+    else:
+        for flag, value in (("--s", args.s), ("--epsilon", args.epsilon)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to --mmd")
     # printed only once every requested report is computed
     lines = []
     if args.points:
@@ -286,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="point cloud or trajectory file")
     p.add_argument("--snapshot", type=int, help="snapshot index for trajectory files")
     p.add_argument("--mmd", nargs=2, metavar=("A", "B"))
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--s", type=float, help="MMD kernel exponent (default 1)")
+    p.add_argument("--epsilon", type=float, help="MMD kernel regularizer (default 1e-3)")
     p.add_argument("--nn", nargs=2, metavar=("GENERATED", "TRAINING"))
 
     p = command("roundtrip", cmd_roundtrip, "backward recovery check of a stored trajectory")

@@ -62,8 +62,8 @@ def gaussian_mixture(n: int, means=None, stds=None, weights=None,
     weights = np.asarray(weights, dtype=np.float64)
     if stds.shape != (ncomp,) or weights.shape != (ncomp,):
         raise ValueError("means, stds and weights must have equal length")
-    if np.any(stds < 0):
-        raise ValueError("stds must be nonnegative")
+    if not np.all(np.isfinite(stds) & (stds >= 0)):
+        raise ValueError(f"stds must be finite and >= 0, got {stds.tolist()}")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be nonnegative and sum to 1")
     rng = SplitMix64(seed)
@@ -84,8 +84,8 @@ def swiss_roll(n: int, noise: float = 0.2, seed: int = 0) -> LabeledPoints:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = SplitMix64(seed)
     theta = SWISS_THETA_LO + (SWISS_THETA_HI - SWISS_THETA_LO) * rng.uniforms(n)
     base = np.stack([theta * np.cos(theta), theta * np.sin(theta)], axis=1) / 3.0

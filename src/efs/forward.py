@@ -17,7 +17,9 @@ is odd (grad W(-z) = -grad W(z)): each pair a < b is evaluated once and
 its term goes to both particles.  Row a's share is one reduction of the
 slice of pairs (a, a+1..n-1), and column b's share is subtracted row by row
 in order from a running total, so the forces are bit for bit independent of
-how the rows are cut into blocks.
+how the rows are cut into blocks.  For s > 0 each pair takes one power,
+q^(s/2), from which both the pair value and the force coefficient are
+computed (see :mod:`efs.potential`).
 
 The energy E_n is computed from the same pair blocks as the forces:
 :func:`forward_gradient` also sums the pair values and caches E_n on the
@@ -34,7 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SingularityError
-from .potential import PotentialParams, check_separation, gradient_coef, pair_value
+from .potential import (PotentialParams, check_separation, gradient_coef, pair_value,
+                        shared_power)
 
 logger = logging.getLogger(__name__)
 
@@ -202,14 +205,17 @@ def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
     ``q`` is the regularized squared distance with the masked entries (see
     :func:`pair_blocks`) set to 1, so the potential and its coefficient are
     finite there and the coefficient is 0.  Coincident distinct pairs with
-    eps=0 raise.  Besides the generator's, a block uses two buffers: the
-    coefficient overwrites ``q`` once the pair values are summed, and the pair
-    terms overwrite the pair values.
+    eps=0 raise.  For s > 0 the power ``u = q^(s/2)`` is taken once per pair
+    and handed to both :func:`pair_value` and :func:`gradient_coef`, so the
+    energy is the same with or without ``forces``.  Besides the generator's, a
+    block uses three buffers, for ``q``, ``u`` (left untouched at s = 0) and
+    the pair values: the coefficient overwrites ``q`` once the pair values are
+    summed, and the pair terms overwrite the pair values.
     """
     x = ps.positions
     n, d = x.shape
     size = _block_capacity(n, n)
-    qbuf, pbuf = np.empty(size), np.empty(size + n)
+    qbuf, ubuf, pbuf = np.empty(size), np.empty(size), np.empty(size + n)
     row_energy = np.empty(n - 1)
     plus, minus = np.zeros((n, d)), np.zeros((d, n))
     for i0, i1, t, sq in pair_blocks(x):
@@ -218,10 +224,11 @@ def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
         q = np.add(sq, p.epsilon, out=qbuf[:sq.size].reshape(sq.shape))
         np.copyto(q[:, :rows], 1.0, where=lower)
         check_separation(q, p.epsilon)
-        w = pair_value(sq, q, p.s, out=pbuf[:sq.size].reshape(sq.shape))
+        u = shared_power(q, p.s, out=ubuf[:sq.size].reshape(sq.shape))
+        w = pair_value(sq, q, p.s, out=pbuf[:sq.size].reshape(sq.shape), u=u)
         row_energy[i0:i1] = np.add.reduceat(w.ravel(), cuts)[::2]
         if forces is not None:
-            coef = gradient_coef(q, p.s, out=q)
+            coef = gradient_coef(q, p.s, out=q, u=u)
             # row 0 carries the running total of the columns' minus terms
             pair = pbuf[:sq.size + width].reshape(rows + 1, width)
             for k, tk in enumerate(t):

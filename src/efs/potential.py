@@ -8,14 +8,17 @@ inverse-power repulsion:
 
 The gradient has the single closed form
 
-    grad W(z) = z * (1 - (||z||^2 + eps)^(-(s+2)/2))
+    grad W(z) = z * (1 - 1 / (q * q^(s/2))),    q = ||z||^2 + eps,
 
-valid for every s >= 0, including the logarithmic branch.  The elementwise
-functions :func:`repulsion`, :func:`pair_value` and :func:`gradient_coef` take
-the regularized squared distance ``q = ||z||^2 + eps`` and are the one place W
-is written; the array code in forward, backward and metrics calls them on
-whole blocks of ``q``, and the forward pass has them write into buffers it
-reuses from block to block.  W is undefined only at zero separation with
+valid for every s >= 0, including the logarithmic branch (q^0 = 1).  The
+elementwise functions :func:`repulsion`, :func:`pair_value` and
+:func:`gradient_coef` take the regularized squared distance ``q`` and are the
+one place W is written; the array code in forward, backward and metrics calls
+them on whole blocks of ``q``, and the forward pass has them write into
+buffers it reuses from block to block.  For s > 0 the repulsion and the
+gradient coefficient share one power per pair, ``u = q^(s/2)``
+(:func:`shared_power`): the forward pass computes it once and hands it to
+both.  W is undefined only at zero separation with
 eps = 0; every evaluation, here, in the forward pass and in the backward
 gradient and objective, passes its ``q`` to :func:`check_separation`, the one
 check for that case.  All functions here are pure and stateless.
@@ -58,46 +61,63 @@ def _check_vector(z) -> np.ndarray:
     return z
 
 
-def _power(q, e: float, out=None):
-    """``q ** e``; with ``out``, written there by an in-place ``**=``.
+def shared_power(q, s: float, out=None):
+    """``u = q^(s/2)``, the power the repulsion and ∇W's coefficient share.
 
-    The in-place operator takes the fast paths ``**`` takes (a reciprocal for
-    e = -1, a square root for e = 1/2), so both forms give the same bits.
+    ``None`` for s = 0, where neither takes a power.  With ``out``, the result
+    is written there by an in-place ``**=``, which takes the fast paths ``**``
+    takes (a square root for s = 1), so both forms give the same bits; ``out``
+    may be ``q``.
     """
+    if s == 0:
+        return None
     if out is None:
-        return q ** e
-    np.copyto(out, q)
-    out **= e
+        return q ** (s / 2.0)
+    if out is not q:
+        np.copyto(out, q)
+    out **= s / 2.0
     return out
 
 
-def repulsion(q, s: float, out=None):
+def repulsion(q, s: float, out=None, u=None):
     """Repulsive part of W at regularized squared distance ``q``.
 
-    ``-log(q) / 2`` for s = 0, otherwise ``1 / (s * q^(s/2))``; for s > 0 it
-    is also the MMD kernel.  Elementwise on arrays; ``out``, when given, is
-    an array of ``q``'s shape that receives the result.
+    ``-log(q) / 2`` for s = 0, otherwise ``1 / (s * u)`` with ``u =
+    q^(s/2)``; for s > 0 it is also the MMD kernel.  Elementwise on arrays;
+    ``out``, when given, is an array of ``q``'s shape that receives the
+    result.  ``u``, when given, is :func:`shared_power`'s value for ``q``
+    and may be ``out``.
     """
     if s == 0:
         return np.multiply(np.log(q, out=out), -0.5, out=out)
-    r = _power(q, s / 2.0, out)
-    return np.divide(1.0, np.multiply(r, s, out=out), out=out)
+    if u is None:
+        u = shared_power(q, s, out)
+    return np.divide(1.0, np.multiply(u, s, out=out), out=out)
 
 
-def pair_value(sq, q, s: float, out=None):
+def pair_value(sq, q, s: float, out=None, u=None):
     """W from the squared distance ``sq`` and its regularization ``q``.
 
-    With ``out`` (not ``sq``), the result is written there.
+    With ``out`` (not ``sq``), the result is written there; ``u`` is as in
+    :func:`repulsion`.
     """
-    return np.add(repulsion(q, s, out), 0.5 * sq, out=out)
+    return np.add(repulsion(q, s, out, u), 0.5 * sq, out=out)
 
 
-def gradient_coef(q, s: float, out=None):
+def gradient_coef(q, s: float, out=None, u=None):
     """The scalar c with grad W(z) = c * z, at ``q = ||z||^2 + eps``.
 
-    With ``out``, the result is written there.
+    ``c = 1 - 1 / (q * u)`` with ``u = q^(s/2)``, so ``1 - 1 / q`` at s = 0.
+    With ``out``, the result is written there; ``out`` may be ``q``.  ``u``,
+    when given, is :func:`shared_power`'s value for ``q``; without it a
+    temporary holds the power.
     """
-    return np.subtract(1.0, _power(q, -(s + 2.0) / 2.0, out), out=out)
+    if s != 0:
+        if u is None:
+            u = shared_power(q, s)
+        q = np.multiply(q, u, out=out)
+    c = np.divide(1.0, q, out=out)
+    return np.subtract(1.0, c, out=out)
 
 
 def check_separation(q, epsilon: float) -> None:

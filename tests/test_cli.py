@@ -610,7 +610,8 @@ def test_metrics_nothing_to_do(capsys):
 
 @pytest.mark.parametrize("case", ["metrics_mmd_epsilon_0", "metrics_nn_missing_file",
                                   "sample_beta_nan", "forward_gamma_nan", "forward_gamma_inf",
-                                  "dataset_n_negative"])
+                                  "dataset_n_negative", "dataset_std_nan", "dataset_noise_inf",
+                                  "metrics_s_without_mmd", "metrics_epsilon_without_mmd"])
 def test_failing_command_writes_nothing_to_stdout(tmp_path, capsys, mixture_file,
                                                   trajectory_file, case):
     out = str(tmp_path / "out.csv")
@@ -631,6 +632,14 @@ def test_failing_command_writes_nothing_to_stdout(tmp_path, capsys, mixture_file
                               2, "--gamma must be finite and > 0, got inf"),
         "dataset_n_negative": (["dataset", "--kind", "swiss", "--n", "-3", "--out", out],
                                2, "n must be >= 1"),
+        "dataset_std_nan": (["dataset", "--kind", "mixture", "--n", "10", "--std", "nan",
+                             "--out", out], 2, "stds must be finite and >= 0"),
+        "dataset_noise_inf": (["dataset", "--kind", "swiss", "--n", "10", "--noise", "inf",
+                               "--out", out], 2, "noise must be finite and >= 0, got inf"),
+        "metrics_s_without_mmd": (["metrics", "--points", str(trajectory_file), "--s", "-3"],
+                                  2, "--s applies only to --mmd"),
+        "metrics_epsilon_without_mmd": (["metrics", "--points", str(trajectory_file),
+                                         "--epsilon", "nan"], 2, "--epsilon applies only to --mmd"),
     }[case]
     assert main(argv) == code
     captured = capsys.readouterr()
@@ -650,6 +659,16 @@ def test_metrics_mmd_parameters_are_checked_before_any_file_is_read(capsys, monk
                      flag, value])
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+def test_metrics_mmd_kernel_defaults(tmp_path, capsys, mixture_file):
+    a = tmp_path / "a.csv"
+    write_csv(a, read_efsb(mixture_file).snapshots[0][:40])
+    _, default = run(capsys, "metrics", "--mmd", str(a), str(mixture_file))
+    _, explicit = run(capsys, "metrics", "--mmd", str(a), str(mixture_file),
+                      "--s", "1", "--epsilon", "1e-3")
+    _, other = run(capsys, "metrics", "--mmd", str(a), str(mixture_file), "--s", "0.5")
+    assert default["mmd2"] == explicit["mmd2"] != other["mmd2"]
 
 
 # ---------------------------------------------------------------- roundtrip

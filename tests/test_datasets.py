@@ -90,6 +90,14 @@ def test_swiss_noise_validation():
         swiss_roll(10, noise=-0.1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_generators_reject_non_finite_spread(value):
+    with pytest.raises(ValueError, match="^stds must be finite and >= 0"):
+        gaussian_mixture(10, means=[(0, 0), (1, 1)], stds=[0.3, value], weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match=f"^noise must be finite and >= 0, got {value}$"):
+        swiss_roll(10, noise=value)
+
+
 @pytest.mark.parametrize("make", [gaussian_mixture, swiss_roll])
 @pytest.mark.parametrize("n", [0, -3])
 def test_generators_reject_counts_below_one(make, n):

@@ -267,7 +267,7 @@ def test_equivariance_permutation():
         np.testing.assert_allclose(b.positions, a.positions[perm], atol=1e-10)
 
 
-@pytest.mark.parametrize("s", [0.0, 1.0], ids=lambda s: f"s={s:g}")
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5], ids=lambda s: f"s={s:g}")
 @pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
 def test_blocked_pairwise_independent_of_block_size(monkeypatch, s, d):
     import efs.forward as fwd
@@ -305,7 +305,7 @@ def test_forces_match_difference_tensor(s, d):
 
 # ---------------------------------------------------------------- energy cache
 
-@pytest.mark.parametrize("s", [0.0, 1.0])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5])
 def test_fused_energy_trace_matches_recomputation(s):
     # n=140 spans more than one block; fresh sets have empty energy caches
     p = PotentialParams(s, 1e-3)

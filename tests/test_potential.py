@@ -14,6 +14,7 @@ from efs import (
     prox_objective,
 )
 from efs.backward import mean_field_gradient
+from efs.potential import gradient_coef
 from efs.rng import SplitMix64
 
 from conftest import fd_gradient, fd_hessian, random_rotation
@@ -127,6 +128,29 @@ def test_gradient_s_to_zero_continuity():
         g0 = potential_gradient(z, PotentialParams(0.0, 0.01))
         g1 = potential_gradient(z, PotentialParams(1e-9, 0.01))
         np.testing.assert_allclose(g1, g0, atol=1e-6)
+
+
+@pytest.mark.parametrize("form", ["scalar", "array", "array out=q"])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 2.5, 4.0])
+def test_gradient_coef_matches_the_direct_power_form(s, form):
+    # c = 1 - 1/(q u), u = q^(s/2), against the direct form 1 - q^(-(s+2)/2):
+    # the complements agree within a few ulp of |q^(-(s+2)/2)|, plus the final
+    # rounding of c; at s = 0 both are 1 - 1/q, bit for bit
+    q = np.geomspace(1e-3, 1e3, 2001)
+    x = q ** (-(s + 2.0) / 2.0)
+    ref = 1.0 - x
+    if form == "scalar":
+        got = np.array([gradient_coef(float(v), s) for v in q])
+    elif form == "array":
+        got = gradient_coef(q, s)
+    else:
+        buf = q.copy()
+        got = gradient_coef(buf, s, out=buf)
+        assert got is buf
+    if s == 0:
+        np.testing.assert_array_equal(got, ref)
+    else:
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(x) + np.spacing(np.abs(ref)))
 
 
 # ---------------------------------------------------------------- curvature bounds
