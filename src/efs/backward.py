@@ -22,8 +22,12 @@ point back to the data distribution.
 
 H takes its pair values from the one row block of
 ``efs.forward.pair_blocks(v[None], snap.positions)``.  The inner gradient, the
-hot path, builds the same differences ``v - x_i`` inline from the stored
-positions, one length-n row per coordinate.  Both pass their ``q`` to
+hot path, builds the same differences ``v - x_i`` and the same ``q`` in the
+buffers of one :class:`_Workspace`, which :func:`invert_step` builds once per
+call, so its inner loop allocates no (d, n) block.  One axis-0 reduction adds
+the squares and eps into ``q`` row by row, in ``pair_blocks``' order, so
+``q`` is bit for bit ``pair_blocks``' squared distance plus eps.  H and the
+gradient pass their ``q`` to
 :func:`efs.potential.check_separation`, so a zero separation raises.
 """
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,8 +75,9 @@ class BackwardConfig:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+        # range(T) in the inner loop needs an integer, not a float like 2.0
+        if not (isinstance(self.T, numbers.Integral) and self.T >= 1):
+            raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
         if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
             raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
 
@@ -97,20 +103,49 @@ class BackwardPath:
         return self.points[-1]
 
 
-def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams) -> np.ndarray:
+class _Workspace:
+    """Buffers for the gradients of one inversion against one snapshot.
+
+    ``cols`` is a contiguous (d, n) copy of the snapshot's positions, ``t``
+    takes the differences v - x_i, the first d rows of ``w`` their squares and
+    its last row holds eps, and ``q`` takes the sum of ``w``'s rows, then the
+    gradient coefficients.  Built once per :func:`invert_step` call, so its
+    inner loop allocates no (d, n) block; for s > 0 the power ``q^(s/2)``
+    still takes one length-n temporary (:func:`efs.potential.gradient_coef`).
+    """
+
+    __slots__ = ("cols", "t", "w", "q")
+
+    def __init__(self, snap: ParticleSet, p: PotentialParams):
+        self.cols = np.ascontiguousarray(snap.positions.T)
+        d, n = self.cols.shape
+        self.t = np.empty((d, n))
+        self.w = np.empty((d + 1, n))
+        self.w[-1] = p.epsilon
+        self.q = np.empty(n)
+
+
+def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams,
+                        work: _Workspace | None = None) -> np.ndarray:
     """(1/n) * sum_i grad W(v - x_i) over the snapshot particles.
 
-    Builds a (d, n) C-ordered block of differences from the transposed
-    positions: one row per coordinate, squared and summed in the order of
-    ``pair_blocks``, then reduced by a (d, n) @ (n,) product.
+    The (d, n) differences go to ``work.t``, their squares to the first d
+    rows of ``work.w``, and one axis-0 reduction of ``work.w`` adds the rows
+    in order, so ``q = ((t_0^2 + t_1^2) + ...) + eps`` as in ``pair_blocks``.
+    The coefficients overwrite ``q``, and one (d, n) @ (n,) product reduces
+    them.  ``work`` must be built for ``snap`` and ``p``; without it one is
+    built for this call.  The result is a new array.
     """
-    t = np.subtract(v[:, None], snap.positions.T, order="C")
-    q = t[0] * t[0]
-    for tk in t[1:]:
-        q += tk * tk
-    q += p.epsilon
+    if work is None:
+        work = _Workspace(snap, p)
+    t, w, q = work.t, work.w, work.q
+    np.subtract(v[:, None], work.cols, out=t)
+    np.square(t, out=w[:-1])
+    np.add.reduce(w, axis=0, out=q)
     check_separation(q, p.epsilon)
-    return t @ gradient_coef(q, p.s, out=q) / snap.n
+    g = t @ gradient_coef(q, p.s, out=q)
+    g /= snap.n
+    return g
 
 
 def augmented_forward_map(y: np.ndarray, snap: ParticleSet, gamma: float,
@@ -134,8 +169,18 @@ def prox_objective(v, anchor, snap: ParticleSet, cfg: BackwardConfig,
 
 
 def _prox_gradient(v: np.ndarray, anchor: np.ndarray, snap: ParticleSet,
-                   cfg: BackwardConfig, p: PotentialParams) -> np.ndarray:
-    return v - anchor - cfg.gamma * mean_field_gradient(v, snap, p)
+                   cfg: BackwardConfig, p: PotentialParams,
+                   work: _Workspace | None = None) -> np.ndarray:
+    """The gradient of H at ``v``: ``(v - anchor) - gamma * mean_field_gradient``.
+
+    Assembled in place in the new array :func:`mean_field_gradient` returns,
+    as ``(-gamma * m) + (v - anchor)``, which IEEE arithmetic rounds exactly
+    as the formula; ``work`` is passed on to it.
+    """
+    g = mean_field_gradient(v, snap, p, work)
+    g *= -cfg.gamma
+    g += v - anchor
+    return g
 
 
 def _warn_convexity_guard(gamma: float, p: PotentialParams):
@@ -179,8 +224,9 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
     if _warn:
         _warn_convexity_guard(cfg.gamma, p)
     y = np.asarray(y_j, dtype=np.float64)
+    work = _Workspace(snap, p)
     v = y.copy()
-    g = _prox_gradient(v, y, snap, cfg, p)
+    g = _prox_gradient(v, y, snap, cfg, p, work)
     gg = float(g @ g)
     for t in range(cfg.T + 1):
         res = math.sqrt(gg)
@@ -192,7 +238,7 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
         step = cfg.beta
         for _h in range(MAX_HALVINGS + 1):
             cand = v - step * g
-            g_cand = _prox_gradient(cand, y, snap, cfg, p)
+            g_cand = _prox_gradient(cand, y, snap, cfg, p, work)
             # NaN fails the comparison, so a step into overflow is halved too
             if float(g @ g_cand) >= -(1.0 - DESCENT_C) * gg:
                 break

@@ -5,7 +5,9 @@ to standard error.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 I/O error.  A ``--config`` file's keys are the long
 option names with ``_`` for ``-`` (``snapshot_mode``); keys that
 name no single-value option of the subcommand are ignored, and values are
-parsed and rejected like flags (exit 2).
+parsed and rejected like flags (exit 2).  An option that a run would drop
+exits 2 as a flag and is ignored as a config key, so one file can serve
+every command.
 """
 
 from __future__ import annotations
@@ -67,6 +69,18 @@ def seed(raw: str) -> int:
     return value
 
 
+def _drop_config_values(args, *dests):
+    """Reset to None the options among ``dests`` that the --config file set.
+
+    Called for options the run would drop, so the checks that reject such an
+    option see only flags: a config file that serves other commands or
+    modes does not trip them.
+    """
+    for dest in dests:
+        if dest in args.from_config:
+            setattr(args, dest, None)
+
+
 def _read_trajectory(path):
     blob = persist.read_efsb(path)
     if len(blob.snapshots) < 2:
@@ -80,11 +94,13 @@ def _read_trajectory(path):
 
 def cmd_dataset(args) -> int:
     if args.kind == "mixture":
+        _drop_config_values(args, "noise")
         if args.noise is not None:
             raise ValueError("--noise applies only to --kind swiss")
         stds = None if args.std is None else [args.std] * 4
         lp = gaussian_mixture(args.n, stds=stds, seed=args.seed)
     elif args.kind == "swiss":
+        _drop_config_values(args, "std")
         if args.std is not None:
             raise ValueError("--std applies only to --kind mixture")
         noise = 0.2 if args.noise is None else args.noise
@@ -126,6 +142,10 @@ def cmd_forward(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.mode != "interp":
+        _drop_config_values(args, "i", "j")
+    # with --i the run is a path, which takes no seed; without it, no --j
+    _drop_config_values(args, *(("j",) if args.i is None else ("replay", "seed")))
     path_flags = [flag for flag, value in (("--i", args.i), ("--j", args.j)) if value is not None]
     if path_flags and args.mode != "interp":
         raise ValueError(f"{'/'.join(path_flags)} requires --mode interp")
@@ -172,6 +192,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if not str(args.points).endswith(".efsb"):
+        _drop_config_values(args, "snapshot")
+    if not args.mmd:
+        _drop_config_values(args, "s", "epsilon")
     if args.snapshot is not None and not str(args.points).endswith(".efsb"):
         raise ValueError("--snapshot needs an .efsb trajectory as --points")
     if not (args.points or args.mmd or args.nn):
@@ -309,15 +333,25 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Option precedence: explicit flag > --config file > built-in default.
 
     The config file's values become defaults of the chosen subcommand, so
-    argparse types and rejects them as it does flags.
+    argparse types and rejects them as it does flags.  ``args.from_config``
+    names the options whose value came from the file.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    from_config = set()
     if args.config:
         config = load_config_file(args.config)
         options = {a.dest for a in args.parser._actions if a.nargs is None}
-        args.parser.set_defaults(**{k: v for k, v in config.items() if k in options})
+        config = {k: v for k, v in config.items() if k in options}
+        # a parse with the file's keys defaulting to a marker shows which of
+        # them no flag sets
+        marker = object()
+        args.parser.set_defaults(**dict.fromkeys(config, marker))
+        marked = parser.parse_args(argv)
+        from_config = {k for k in config if getattr(marked, k) is marker}
+        args.parser.set_defaults(**config)
         args = parser.parse_args(argv)
+    args.from_config = from_config
     for key in REQUIRED.get(args.command, ()):
         if getattr(args, key) is None:
             raise ValueError(f"missing required option --{key}")

@@ -17,7 +17,7 @@ from efs import (
     run_backward,
     run_forward,
 )
-from efs.backward import _prox_gradient, mean_field_gradient
+from efs.backward import _prox_gradient, _Workspace, mean_field_gradient
 from efs.rng import SplitMix64
 
 from conftest import fd_gradient
@@ -48,6 +48,13 @@ def test_config_rejects_non_finite_values(field, value):
     fields[field] = value
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         BackwardConfig(**fields)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, float("nan"), float("inf"), "10", None])
+def test_config_rejects_a_T_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="^T must be an integer >= 1, got "):
+        BackwardConfig(gamma=0.1, beta=0.1, T=value)
+    assert BackwardConfig(gamma=0.1, beta=0.1, T=np.int64(3)).T == 3
 
 
 # ---------------------------------------------------------------- objective
@@ -101,6 +108,54 @@ def test_mean_field_sums_match_pairwise_loop(s, d):
                                    rtol=1e-12, atol=1e-14)
         assert prox_objective(v, anchor, snap, cfg, p) == pytest.approx(
             0.5 * float(v @ v) - cfg.gamma * mean_w, rel=1e-12, abs=1e-14)
+
+
+def _row_loop_gradient(v, positions, p):
+    # the mean-field gradient written out row by row, one fresh array per step
+    t = np.subtract(v[:, None], positions.T, order="C")
+    q = t[0] * t[0]
+    for tk in t[1:]:
+        q += tk * tk
+    q += p.epsilon
+    c = 1.0 - 1.0 / q if p.s == 0 else 1.0 - 1.0 / (q * q ** (p.s / 2))
+    return t @ c / len(positions)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5])
+def test_workspace_gradient_is_the_row_loop_bit_for_bit(s, d):
+    snap = random_set(37, d, seed=13)
+    p = PotentialParams(s, 1e-3)
+    cfg = BackwardConfig(gamma=0.05, beta=0.1, T=10)
+    work = _Workspace(snap, p)
+    vs = SplitMix64(14).normals(5 * d).reshape(5, d)
+    anchor = vs[-1] * 0.5
+    expected = [_row_loop_gradient(v, snap.positions, p) for v in vs]
+    # several points on one workspace, the first again at the end: no state
+    # carries over from one call to the next
+    results = []
+    for v, want in zip([*vs, vs[0]], [*expected, expected[0]]):
+        g = mean_field_gradient(v, snap, p, work)
+        assert g.tobytes() == want.tobytes()
+        assert mean_field_gradient(v, snap, p).tobytes() == want.tobytes()
+        prox = _prox_gradient(v, anchor, snap, cfg, p, work)
+        assert prox.tobytes() == (v - anchor - cfg.gamma * want).tobytes()
+        results.append(g)
+    # every result is a new array, not a view of the workspace
+    for g, want in zip(results, [*expected, expected[0]]):
+        assert g.tobytes() == want.tobytes()
+
+
+def test_workspace_gradient_raises_at_a_snapshot_particle_at_zero_epsilon():
+    snap = random_set(10, 3, seed=9)
+    p = PotentialParams(1.0, 0.0)
+    work = _Workspace(snap, p)
+    with pytest.raises(SingularityError, match="epsilon=0"):
+        mean_field_gradient(snap.positions[3], snap, p, work)
+    # the workspace stays usable off the particles
+    v = snap.positions[3] + 0.5
+    assert (mean_field_gradient(v, snap, p, work).tobytes()
+            == _row_loop_gradient(v, snap.positions, p).tobytes())
 
 
 def test_augmented_forward_map_definition():

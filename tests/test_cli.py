@@ -110,6 +110,43 @@ def test_config_ignores_keys_that_are_not_options(tmp_path, capsys, mixture_file
     assert code == 0
 
 
+@pytest.mark.parametrize("case", ["metrics_s_epsilon", "sample_seed_on_a_path",
+                                  "sample_path_without_interp", "dataset_mixture_noise"])
+def test_config_values_a_run_would_drop_are_ignored(tmp_path, capsys, trajectory_file, case):
+    # as config keys these options are ignored; as flags they still exit 2
+    out = str(tmp_path / "out.csv")
+    sample = ["sample", "--traj", str(trajectory_file), "--beta", "0.1", "--T", "50",
+              "--out", out]
+    config, argv, flags, message = {
+        "metrics_s_epsilon": ("s = 1\nepsilon = 0.001\n",
+                              ["metrics", "--points", str(trajectory_file)],
+                              ["--s", "1"], "--s applies only to --mmd"),
+        "sample_seed_on_a_path": ("seed = 3\n",
+                                  sample + ["--mode", "interp", "--i", "0", "--j", "1",
+                                            "--m", "3"],
+                                  ["--seed", "3"], "--seed cannot be combined with --i"),
+        "sample_path_without_interp": ("i = 0\nj = 1\n", sample + ["--m", "2", "--seed", "5"],
+                                       ["--i", "0", "--j", "1"],
+                                       "--i/--j requires --mode interp"),
+        "dataset_mixture_noise": ("noise = 0.2\n",
+                                  ["dataset", "--kind", "mixture", "--n", "50", "--out", out],
+                                  ["--noise", "0.2"], "--noise applies only to --kind swiss"),
+    }[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    outputs = []
+    for extra in ([], ["--config", str(cfg)]):
+        assert main(argv + extra) == 0
+        outputs.append((capsys.readouterr().out, Path(out).read_bytes() if "--out" in argv
+                        else None))
+        Path(out).unlink(missing_ok=True)
+    assert outputs[0] == outputs[1]
+    assert main(argv + ["--config", str(cfg)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not Path(out).exists()
+
+
 def test_config_mode_ball(tmp_path, capsys, trajectory_file):
     # mode = ball is a single-value option, so a config file can choose it
     cfg = tmp_path / "run.cfg"
