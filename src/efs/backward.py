@@ -20,6 +20,13 @@ loop is capped at T iterations with early stopping on the gradient norm.
 Walking the inversions from snapshot k down to snapshot 0 transports a fresh
 point back to the data distribution.
 
+The loop steps in Python floats: the iterate, the anchor, the gradient of H
+and the candidate are lists of d floats, and numpy does only the (d, n) work,
+one :func:`mean_field_gradient` call per gradient.  Each element is rounded
+as the array formula rounds it, so the iterates are those of numpy vector
+arithmetic; only the dot products g . g and g . g_c are Python sums of the d
+products, which can round differently from a BLAS dot in the last bit.
+
 H takes its pair values from the one row block of
 ``efs.forward.pair_blocks(v[None], snap.positions)``.  The inner gradient, the
 hot path, builds the same differences ``v - x_i`` and the same ``q`` in the
@@ -36,6 +43,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,16 +117,18 @@ class _Workspace:
     ``cols`` is a contiguous (d, n) copy of the snapshot's positions, ``t``
     takes the differences v - x_i, the first d rows of ``w`` their squares and
     its last row holds eps, and ``q`` takes the sum of ``w``'s rows, then the
-    gradient coefficients.  Built once per :func:`invert_step` call, so its
-    inner loop allocates no (d, n) block; for s > 0 the power ``q^(s/2)``
-    still takes one length-n temporary (:func:`efs.potential.gradient_coef`).
+    gradient coefficients; ``n`` is the particle count.  Built once per
+    :func:`invert_step` call, so its inner loop allocates no (d, n) block; for
+    s > 0 the power ``q^(s/2)`` still takes one length-n temporary
+    (:func:`efs.potential.gradient_coef`).
     """
 
-    __slots__ = ("cols", "t", "w", "q")
+    __slots__ = ("cols", "t", "w", "q", "n")
 
     def __init__(self, snap: ParticleSet, p: PotentialParams):
         self.cols = np.ascontiguousarray(snap.positions.T)
         d, n = self.cols.shape
+        self.n = n
         self.t = np.empty((d, n))
         self.w = np.empty((d + 1, n))
         self.w[-1] = p.epsilon
@@ -144,7 +154,7 @@ def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams,
     np.add.reduce(w, axis=0, out=q)
     check_separation(q, p.epsilon)
     g = t @ gradient_coef(q, p.s, out=q)
-    g /= snap.n
+    g /= work.n
     return g
 
 
@@ -168,19 +178,27 @@ def prox_objective(v, anchor, snap: ParticleSet, cfg: BackwardConfig,
     return 0.5 * float(dv @ dv) - cfg.gamma * mean_w
 
 
-def _prox_gradient(v: np.ndarray, anchor: np.ndarray, snap: ParticleSet,
-                   cfg: BackwardConfig, p: PotentialParams,
-                   work: _Workspace | None = None) -> np.ndarray:
+def _prox_gradient(v, anchor, snap: ParticleSet, cfg: BackwardConfig,
+                   p: PotentialParams, work: _Workspace | None = None) -> list:
     """The gradient of H at ``v``: ``(v - anchor) - gamma * mean_field_gradient``.
 
-    Assembled in place in the new array :func:`mean_field_gradient` returns,
-    as ``(-gamma * m) + (v - anchor)``, which IEEE arithmetic rounds exactly
-    as the formula; ``work`` is passed on to it.
+    ``v`` and ``anchor`` are sequences of d floats (lists in the inner loop of
+    :func:`invert_step`); the result is a list of d floats.  Each entry is
+    ``(m_k * -gamma) + (v_k - anchor_k)``, which IEEE arithmetic rounds exactly
+    as the formula; ``work`` is passed on to :func:`mean_field_gradient`.
     """
-    g = mean_field_gradient(v, snap, p, work)
-    g *= -cfg.gamma
-    g += v - anchor
-    return g
+    neg_gamma = -cfg.gamma
+    m = mean_field_gradient(np.array(v), snap, p, work)
+    return [(mk * neg_gamma) + (vk - yk) for mk, vk, yk in zip(m.tolist(), v, anchor)]
+
+
+def _dot(a: list, b: list) -> float:
+    """Python's sum of the products ``a_k * b_k``, for the inner loop's d-lists.
+
+    Left to right before Python 3.12, compensated from 3.12 on (the same for
+    d <= 2); either can differ from a BLAS dot in the last bit.
+    """
+    return sum(map(operator.mul, a, b))
 
 
 def _warn_convexity_guard(gamma: float, p: PotentialParams):
@@ -215,32 +233,41 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
     Each iteration first tries the full step ``beta`` along the negative
     gradient and halves it while the gradient at the candidate points back
     against the current one (see the module text), at most
-    ``MAX_HALVINGS`` times.  Returns ``(v, residual)`` where ``residual`` is
-    the final gradient norm of H at v; a residual above ``cfg.grad_tol``
-    means the T cap was reached.  Raises :class:`SingularityError` on a
+    ``MAX_HALVINGS`` times.  The iterates are lists of d Python floats; only
+    the gradient's (d, n) work goes to numpy.  Returns ``(v, residual)``, a
+    float64 array of shape (d,) and a float: ``residual`` is the final
+    gradient norm of H at v, and one above ``cfg.grad_tol`` means the T cap
+    was reached.  Raises :class:`ValueError` when ``y_j`` is not a finite
+    vector of the snapshot's dimension, :class:`SingularityError` on a
     particle at eps = 0 and :class:`InstabilityError` when the gradient is
     non-finite or no step down to ``beta / 2**MAX_HALVINGS`` descends.
     """
+    y = np.asarray(y_j, dtype=np.float64)
+    if y.shape != (snap.d,):
+        raise ValueError(
+            f"start must be a vector of the snapshot's dimension {snap.d}, got shape {y.shape}")
+    anchor = y.tolist()
+    if not all(map(math.isfinite, anchor)):
+        raise ValueError(f"start must be finite, got {anchor}")
     if _warn:
         _warn_convexity_guard(cfg.gamma, p)
-    y = np.asarray(y_j, dtype=np.float64)
     work = _Workspace(snap, p)
-    v = y.copy()
-    g = _prox_gradient(v, y, snap, cfg, p, work)
-    gg = float(g @ g)
+    v = anchor
+    g = _prox_gradient(v, anchor, snap, cfg, p, work)
+    gg = _dot(g, g)
     for t in range(cfg.T + 1):
         res = math.sqrt(gg)
         if not math.isfinite(res):
             raise InstabilityError(
                 f"inner iterates diverged (beta={cfg.beta}); reduce the step size")
         if res <= cfg.grad_tol or t == cfg.T:
-            return v, res
+            return np.array(v), res
         step = cfg.beta
         for _h in range(MAX_HALVINGS + 1):
-            cand = v - step * g
-            g_cand = _prox_gradient(cand, y, snap, cfg, p, work)
+            cand = [vk - step * gk for vk, gk in zip(v, g)]
+            g_cand = _prox_gradient(cand, anchor, snap, cfg, p, work)
             # NaN fails the comparison, so a step into overflow is halved too
-            if float(g @ g_cand) >= -(1.0 - DESCENT_C) * gg:
+            if _dot(g, g_cand) >= -(1.0 - DESCENT_C) * gg:
                 break
             step *= 0.5
         else:
@@ -248,7 +275,7 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
                 f"no descent step down to beta/2**{MAX_HALVINGS} "
                 f"(beta={cfg.beta}); reduce the step size")
         v, g = cand, g_cand
-        gg = float(g @ g)
+        gg = _dot(g, g)
 
 
 def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from efs import (
     run_backward,
     run_forward,
 )
-from efs.backward import _prox_gradient, _Workspace, mean_field_gradient
+from efs.backward import (DESCENT_C, MAX_HALVINGS, _prox_gradient, _Workspace,
+                          mean_field_gradient)
 from efs.rng import SplitMix64
 
 from conftest import fd_gradient
@@ -138,7 +140,7 @@ def test_workspace_gradient_is_the_row_loop_bit_for_bit(s, d):
         g = mean_field_gradient(v, snap, p, work)
         assert g.tobytes() == want.tobytes()
         assert mean_field_gradient(v, snap, p).tobytes() == want.tobytes()
-        prox = _prox_gradient(v, anchor, snap, cfg, p, work)
+        prox = np.array(_prox_gradient(v, anchor, snap, cfg, p, work))
         assert prox.tobytes() == (v - anchor - cfg.gamma * want).tobytes()
         results.append(g)
     # every result is a new array, not a view of the workspace
@@ -204,7 +206,7 @@ def test_invert_monotone_inner_descent():
     v = y.copy()
     prev = prox_objective(v, y, snap, cfg, p)
     for _ in range(50):
-        v = v - cfg.beta * _prox_gradient(v, y, snap, cfg, p)
+        v = v - cfg.beta * np.array(_prox_gradient(v, y, snap, cfg, p))
         cur = prox_objective(v, y, snap, cfg, p)
         assert cur <= prev + 1e-12
         prev = cur
@@ -277,7 +279,7 @@ def test_invert_overshooting_beta_converges():
         mapped = augmented_forward_map(x, snap, gamma, p)
         v = mapped.copy()
         for _ in range(cfg.T):
-            v = v - cfg.beta * _prox_gradient(v, mapped, snap, cfg, p)
+            v = v - cfg.beta * np.array(_prox_gradient(v, mapped, snap, cfg, p))
         plain = np.linalg.norm(_prox_gradient(v, mapped, snap, cfg, p))
         assert plain > 1e3 * cfg.grad_tol
         w, res = invert_step(mapped, snap, cfg, p, _warn=False)
@@ -295,9 +297,88 @@ def test_invert_keeps_plain_steps_when_they_descend():
     y = np.array([1.5, -0.7])
     v = y.copy()
     for _ in range(cfg.T):
-        v = v - cfg.beta * _prox_gradient(v, y, snap, cfg, p)
+        v = v - cfg.beta * np.array(_prox_gradient(v, y, snap, cfg, p))
     w, _res = invert_step(y, snap, cfg, p, _warn=False)
     np.testing.assert_array_equal(w, v)
+
+
+def _numpy_invert_step(y, snap, cfg, p):
+    # the inner loop written with numpy vectors and BLAS dots, the form the
+    # Python-float loop replaced; also returns the halvings and whether the
+    # T cap stopped it
+    work = _Workspace(snap, p)
+
+    def grad(v):
+        g = mean_field_gradient(v, snap, p, work)
+        g *= -cfg.gamma
+        g += v - y
+        return g
+
+    v = y.copy()
+    g = grad(v)
+    gg = float(g @ g)
+    halvings = 0
+    for t in range(cfg.T + 1):
+        res = math.sqrt(gg)
+        if res <= cfg.grad_tol or t == cfg.T:
+            return v, res, halvings, res > cfg.grad_tol
+        step = cfg.beta
+        for _h in range(MAX_HALVINGS + 1):
+            cand = v - step * g
+            g_cand = grad(cand)
+            if float(g @ g_cand) >= -(1.0 - DESCENT_C) * gg:
+                break
+            step *= 0.5
+            halvings += 1
+        v, g = cand, g_cand
+        gg = float(g @ g)
+
+
+PINNED_CASES = [(d, s, "grid") for d in (1, 2, 3, 5) for s in (0.0, 0.5, 1.0, 2.5)]
+
+
+@pytest.mark.parametrize("d, s, case", PINNED_CASES + [(2, 1.0, "halved"), (2, 1.0, "capped")])
+def test_invert_step_is_the_numpy_loop(d, s, case):
+    # the point bit for bit; the residual within 1 ulp, since g . g is a
+    # Python sum where the numpy loop took a BLAS dot
+    snap = random_set(25, d, seed=0, scale=2.0)
+    p = PotentialParams(s, 1e-3)
+    # beta is no power of two, so step * g_k is rounded, not exact
+    cfg = BackwardConfig(gamma=0.01, beta=0.3, T=5 if case == "capped" else 500)
+    if case == "halved":
+        # beta overshoots the curvature at a snapshot particle (see
+        # test_invert_overshooting_beta_converges)
+        starts = [augmented_forward_map(x, snap, cfg.gamma, p) for x in snap.positions[:5]]
+    else:
+        starts = list(SplitMix64(d).normals(3 * d).reshape(3, d) * 2.0)
+    seen = []
+    for y in starts:
+        want, want_res, halvings, capped = _numpy_invert_step(y, snap, cfg, p)
+        seen.append((halvings > 0, capped))
+        v, res = invert_step(y, snap, cfg, p, _warn=False)
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (d,)
+        assert type(res) is float
+        assert v.tobytes() == want.tobytes()
+        assert abs(res - want_res) <= math.ulp(want_res)
+    # the two named cases do reach the branch they are named for
+    if case == "halved":
+        assert any(h for h, _c in seen)
+    if case == "capped":
+        assert all(c for _h, c in seen)
+
+
+def test_invert_rejects_a_start_that_is_not_a_finite_vector_of_the_dimension():
+    snap = random_set(10, 2, seed=9)
+    p = PotentialParams(1.0, 1e-3)
+    cfg = BackwardConfig(gamma=0.01, beta=0.1, T=10)
+    traj = run_forward(snap, 0.01, 2, p)
+    for start, message in [([float("nan"), 0.0], r"^start must be finite, got \[nan, 0.0\]"),
+                           ([0.1, 0.2, 0.3], r"dimension 2, got shape \(3,\)"),
+                           (0.5, r"dimension 2, got shape \(\)")]:
+        with pytest.raises(ValueError, match=message):
+            invert_step(start, snap, cfg, p)
+        with pytest.raises(ValueError, match=message):
+            run_backward(start, traj, cfg)
 
 
 # ---------------------------------------------------------------- run_backward

@@ -47,3 +47,9 @@ def test_tiny_benchmark_run_is_correct(checkout, trace):
 def test_tiny_swiss_benchmark_run_is_correct(checkout):
     # the one workload whose argv passes --kind swiss --noise and runs the s=0 log branch
     run_tiny(checkout, "swiss-ref", "0")
+
+
+def test_tiny_swiss_benchmark_traced_run_is_correct(checkout):
+    # the traced hooks read each invert_step residual as a scalar; this runs
+    # them over the s=0 inner loop
+    run_tiny(checkout, "swiss-ref", "1")
