@@ -303,9 +303,9 @@ def test_invert_keeps_plain_steps_when_they_descend():
 
 
 def _numpy_invert_step(y, snap, cfg, p):
-    # the inner loop written with numpy vectors and BLAS dots, the form the
-    # Python-float loop replaced; also returns the halvings and whether the
-    # T cap stopped it
+    # the inner loop written with numpy vectors and BLAS dots, the reference
+    # for invert_step's Python-float loop; also returns the halvings and
+    # whether the T cap stopped it
     work = _Workspace(snap, p)
 
     def grad(v):
