@@ -5,9 +5,14 @@ to standard error.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 I/O error.  A ``--config`` file's keys are the long
 option names with ``_`` for ``-`` (``snapshot_mode``); keys that
 name no single-value option of the subcommand are ignored, and values are
-parsed and rejected like flags (exit 2).  An option that a run would drop
-exits 2 as a flag and is ignored as a config key, so one file can serve
-every command.
+parsed, checked against the option's choices and rejected like flags
+(exit 2).  An option that a run would drop exits 2 as a flag and is ignored
+as a config key, so one file can serve every command: ``noise`` for a
+mixture and ``std`` for a Swiss roll (dataset); ``i`` and ``j`` outside
+``--mode interp``, ``j`` without ``i``, ``replay`` and ``seed`` on an ``--i``
+path (sample); ``snapshot`` without an ``.efsb`` ``--points``, ``s`` and
+``epsilon`` without ``--mmd`` (metrics).  Flags dropped by one rule are
+named together: ``--s/--epsilon applies only to --mmd``.
 """
 
 from __future__ import annotations
@@ -69,16 +74,18 @@ def seed(raw: str) -> int:
     return value
 
 
-def _drop_config_values(args, *dests):
-    """Reset to None the options among ``dests`` that the --config file set.
+def _dropped(args, reason, *dests):
+    """Reject the flags among ``dests``, options the run would drop.
 
-    Called for options the run would drop, so the checks that reject such an
-    option see only flags: a config file that serves other commands or
-    modes does not trip them.
+    A --config value is reset to None instead, so that a file serving other
+    commands or modes does not trip the check.
     """
     for dest in dests:
         if dest in args.from_config:
             setattr(args, dest, None)
+    flags = [f"--{dest}" for dest in dests if getattr(args, dest) is not None]
+    if flags:
+        raise ValueError(f"{'/'.join(flags)} {reason}")
 
 
 def _read_trajectory(path):
@@ -94,19 +101,13 @@ def _read_trajectory(path):
 
 def cmd_dataset(args) -> int:
     if args.kind == "mixture":
-        _drop_config_values(args, "noise")
-        if args.noise is not None:
-            raise ValueError("--noise applies only to --kind swiss")
+        _dropped(args, "applies only to --kind swiss", "noise")
         stds = None if args.std is None else [args.std] * 4
         lp = gaussian_mixture(args.n, stds=stds, seed=args.seed)
-    elif args.kind == "swiss":
-        _drop_config_values(args, "std")
-        if args.std is not None:
-            raise ValueError("--std applies only to --kind mixture")
+    else:
+        _dropped(args, "applies only to --kind mixture", "std")
         noise = 0.2 if args.noise is None else args.noise
         lp = swiss_roll(args.n, noise=noise, seed=args.seed)
-    else:
-        raise ValueError(f"unknown dataset kind {args.kind!r}")
     save_points(lp, args.out)
     print(f"n={lp.points.n}")
     print(f"d={lp.points.d}")
@@ -143,26 +144,21 @@ def cmd_forward(args) -> int:
 
 def cmd_sample(args) -> int:
     if args.mode != "interp":
-        _drop_config_values(args, "i", "j")
+        _dropped(args, "requires --mode interp", "i", "j")
     # with --i the run is a path, which takes no seed; without it, no --j
-    _drop_config_values(args, *(("j",) if args.i is None else ("replay", "seed")))
-    path_flags = [flag for flag, value in (("--i", args.i), ("--j", args.j)) if value is not None]
-    if path_flags and args.mode != "interp":
-        raise ValueError(f"{'/'.join(path_flags)} requires --mode interp")
-    if path_flags and args.i is None:
-        raise ValueError(f"{'/'.join(path_flags)} requires --i")
-    if path_flags and args.replay:
-        raise ValueError("--replay cannot be combined with --i: a path has no seeds to replay")
-    if path_flags and args.seed is not None:
-        raise ValueError("--seed cannot be combined with --i: a path draws no random numbers")
-    if path_flags and args.j is None:
-        raise ValueError("--i needs --j: a path runs from particle i to particle j")
-    if path_flags and (args.m is None or args.m < 2):
-        raise ValueError("--i needs --m >= 2, the number of points on the path")
+    if args.i is None:
+        _dropped(args, "requires --i", "j")
+    else:
+        _dropped(args, "cannot be combined with --i: a path has no seeds to replay", "replay")
+        _dropped(args, "cannot be combined with --i: a path draws no random numbers", "seed")
+        if args.j is None:
+            raise ValueError("--i needs --j: a path runs from particle i to particle j")
+        if args.m is None or args.m < 2:
+            raise ValueError("--i needs --m >= 2, the number of points on the path")
     traj, labels = _read_trajectory(args.traj)
     bwd = BackwardConfig(gamma=traj.gamma, beta=args.beta, T=args.T)
 
-    if path_flags:
+    if args.i is not None:
         batch = interpolation_path(traj, args.i, args.j, args.m, bwd,
                                    snapshot_mode=args.snapshot_mode)
     else:
@@ -193,11 +189,7 @@ def cmd_sample(args) -> int:
 
 def cmd_metrics(args) -> int:
     if not str(args.points).endswith(".efsb"):
-        _drop_config_values(args, "snapshot")
-    if not args.mmd:
-        _drop_config_values(args, "s", "epsilon")
-    if args.snapshot is not None and not str(args.points).endswith(".efsb"):
-        raise ValueError("--snapshot needs an .efsb trajectory as --points")
+        _dropped(args, "needs an .efsb trajectory as --points", "snapshot")
     if not (args.points or args.mmd or args.nn):
         raise ValueError("nothing to do: pass --points, --mmd or --nn")
     if args.mmd:
@@ -205,9 +197,7 @@ def cmd_metrics(args) -> int:
                                      epsilon=1e-3 if args.epsilon is None else args.epsilon)
         check_mmd_params(mmd_params)
     else:
-        for flag, value in (("--s", args.s), ("--epsilon", args.epsilon)):
-            if value is not None:
-                raise ValueError(f"{flag} applies only to --mmd")
+        _dropped(args, "applies only to --mmd", "s", "epsilon")
     # printed only once every requested report is computed
     lines = []
     if args.points:
@@ -333,7 +323,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Option precedence: explicit flag > --config file > built-in default.
 
     The config file's values become defaults of the chosen subcommand, so
-    argparse types and rejects them as it does flags.  ``args.from_config``
+    argparse types and rejects them as it does flags; their choices are
+    checked here, since argparse checks only a flag's.  ``args.from_config``
     names the options whose value came from the file.
     """
     parser = build_parser()
@@ -351,6 +342,9 @@ def parse_args(argv=None) -> argparse.Namespace:
         from_config = {k for k in config if getattr(marked, k) is marker}
         args.parser.set_defaults(**config)
         args = parser.parse_args(argv)
+        for action in args.parser._actions:
+            if action.dest in from_config and action.choices is not None:
+                args.parser._check_value(action, getattr(args, action.dest))
     args.from_config = from_config
     for key in REQUIRED.get(args.command, ()):
         if getattr(args, key) is None:
@@ -370,7 +364,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, IndexError) as e:
+    except (ValueError, IndexError, argparse.ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

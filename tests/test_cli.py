@@ -111,12 +111,18 @@ def test_config_ignores_keys_that_are_not_options(tmp_path, capsys, mixture_file
 
 
 @pytest.mark.parametrize("case", ["metrics_s_epsilon", "sample_seed_on_a_path",
-                                  "sample_path_without_interp", "dataset_mixture_noise"])
+                                  "sample_path_without_interp", "dataset_mixture_noise",
+                                  "dataset_swiss_std", "metrics_snapshot_of_a_csv",
+                                  "sample_replay_on_a_path", "sample_j_without_i",
+                                  "metrics_epsilon"])
 def test_config_values_a_run_would_drop_are_ignored(tmp_path, capsys, trajectory_file, case):
     # as config keys these options are ignored; as flags they still exit 2
     out = str(tmp_path / "out.csv")
     sample = ["sample", "--traj", str(trajectory_file), "--beta", "0.1", "--T", "50",
               "--out", out]
+    points_csv = tmp_path / "points.csv"
+    write_csv(points_csv, read_efsb(trajectory_file).snapshots[0])
+    seeds_csv = str(tmp_path / "seeds.csv")
     config, argv, flags, message = {
         "metrics_s_epsilon": ("s = 1\nepsilon = 0.001\n",
                               ["metrics", "--points", str(trajectory_file)],
@@ -131,6 +137,20 @@ def test_config_values_a_run_would_drop_are_ignored(tmp_path, capsys, trajectory
         "dataset_mixture_noise": ("noise = 0.2\n",
                                   ["dataset", "--kind", "mixture", "--n", "50", "--out", out],
                                   ["--noise", "0.2"], "--noise applies only to --kind swiss"),
+        "dataset_swiss_std": ("std = 0.3\n",
+                              ["dataset", "--kind", "swiss", "--n", "50", "--out", out],
+                              ["--std", "0.3"], "--std applies only to --kind mixture"),
+        "metrics_snapshot_of_a_csv": ("snapshot = 0\n", ["metrics", "--points", str(points_csv)],
+                                      ["--snapshot", "0"],
+                                      "--snapshot needs an .efsb trajectory as --points"),
+        "sample_replay_on_a_path": (f"replay = {seeds_csv}\n",
+                                    sample + ["--mode", "interp", "--i", "0", "--j", "1",
+                                              "--m", "3"],
+                                    ["--replay", seeds_csv], "--replay cannot be combined with --i"),
+        "sample_j_without_i": ("j = 1\n", sample + ["--mode", "interp", "--m", "2"],
+                               ["--j", "1"], "--j requires --i"),
+        "metrics_epsilon": ("epsilon = 0.001\n", ["metrics", "--points", str(trajectory_file)],
+                            ["--epsilon", "0.001"], "--epsilon applies only to --mmd"),
     }[case]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
@@ -145,6 +165,32 @@ def test_config_values_a_run_would_drop_are_ignored(tmp_path, capsys, trajectory
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     assert not Path(out).exists()
+
+
+def test_config_values_meet_the_choices_of_their_flags(tmp_path, capsys, monkeypatch,
+                                                      trajectory_file):
+    def read(path):
+        raise AssertionError(f"{path} was read before the config values were checked")
+
+    monkeypatch.setattr(efs.cli.persist, "read_efsb", read)
+    monkeypatch.setattr(efs.cli, "load_points", read)
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    sample = ["sample", "--traj", str(trajectory_file), "--beta", "0.1", "--T", "50"]
+    for argv, key, value in ((sample, "mode", "interpolation"), (sample, "mode", "banana"),
+                             (sample, "snapshot_mode", "banana"),
+                             (["dataset", "--n", "10"], "kind", "banana")):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out), flag, value])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1].split(": error: ", 1)[1]
+        assert message.startswith(f"argument {flag}: invalid choice: '{value}'")
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(argv + ["--out", str(out), "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err
+        assert not out.exists()
 
 
 def test_config_mode_ball(tmp_path, capsys, trajectory_file):
@@ -648,7 +694,8 @@ def test_metrics_nothing_to_do(capsys):
 @pytest.mark.parametrize("case", ["metrics_mmd_epsilon_0", "metrics_nn_missing_file",
                                   "sample_beta_nan", "forward_gamma_nan", "forward_gamma_inf",
                                   "dataset_n_negative", "dataset_std_nan", "dataset_noise_inf",
-                                  "metrics_s_without_mmd", "metrics_epsilon_without_mmd"])
+                                  "metrics_s_without_mmd", "metrics_epsilon_without_mmd",
+                                  "metrics_s_epsilon_without_mmd"])
 def test_failing_command_writes_nothing_to_stdout(tmp_path, capsys, mixture_file,
                                                   trajectory_file, case):
     out = str(tmp_path / "out.csv")
@@ -677,6 +724,9 @@ def test_failing_command_writes_nothing_to_stdout(tmp_path, capsys, mixture_file
                                   2, "--s applies only to --mmd"),
         "metrics_epsilon_without_mmd": (["metrics", "--points", str(trajectory_file),
                                          "--epsilon", "nan"], 2, "--epsilon applies only to --mmd"),
+        "metrics_s_epsilon_without_mmd": (["metrics", "--points", str(trajectory_file), "--s", "1",
+                                           "--epsilon", "0.1"],
+                                          2, "--s/--epsilon applies only to --mmd"),
     }[case]
     assert main(argv) == code
     captured = capsys.readouterr()
