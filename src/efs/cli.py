@@ -2,17 +2,23 @@
 
 Standard output carries machine-readable ``key=value`` lines; diagnostics go
 to standard error.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 I/O error.  A ``--config`` file's keys are the long
-option names with ``_`` for ``-`` (``snapshot_mode``); keys that
+3 numerical failure, 4 I/O error.  Apart from ``--config`` the commands open
+no file themselves: point files go through :mod:`efs.datasets`, the
+trajectory, its energy csv, samples csvs and a replay's seed column through
+:mod:`efs.persist`, and the picture through :mod:`efs.svg`.  The options
+that need no data (such as ``efs forward --gamma``, ``--beta``, ``--T``,
+``--indices``, the dropped-option rules) exit 2 before any file is read,
+so a missing file cannot mask them.  A ``--config`` file's keys are the
+long option names with ``_`` for ``-`` (``snapshot_mode``); keys that
 name no single-value option of the subcommand are ignored, and values are
 parsed, checked against the option's choices and rejected like flags
 (exit 2).  An option that a run would drop exits 2 as a flag and is ignored
 as a config key, so one file can serve every command: ``noise`` for a
 mixture and ``std`` for a Swiss roll (dataset); ``i`` and ``j`` outside
 ``--mode interp``, ``j`` without ``i``, ``replay`` and ``seed`` on an ``--i``
-path (sample); ``snapshot`` without an ``.efsb`` ``--points``, ``s`` and
-``epsilon`` without ``--mmd`` (metrics).  Flags dropped by one rule are
-named together: ``--s/--epsilon applies only to --mmd``.
+path (sample); ``s`` and ``epsilon`` without ``--mmd`` (metrics).  Flags
+dropped by one rule are named together: ``--s/--epsilon applies only to
+--mmd``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from . import persist, svg
 from .backward import BackwardConfig
 from .datasets import gaussian_mixture, load_points, save_points, swiss_roll
 from .errors import DegenerateEnclosureError, FormatError, InstabilityError, SingularityError
-from .forward import ParticleSet, Trajectory, run_forward
+from .forward import ParticleSet, run_forward
 from .metrics import check_mmd_params, energy_trace, mmd_squared, nn_novelty, uniformity_report
 from .pipeline import generate_from_trajectory, interpolation_path, invert_batch
 from .potential import PotentialParams
@@ -88,22 +94,10 @@ def _dropped(args, reason, *dests):
         raise ValueError(f"{'/'.join(flags)} {reason}")
 
 
-def _read_trajectory(path):
-    blob = persist.read_efsb(path)
-    if len(blob.snapshots) < 2:
-        raise FormatError(f"{path}: holds {len(blob.snapshots)} snapshot; "
-                          "a trajectory has at least 2")
-    traj = Trajectory(tuple(ParticleSet(a) for a in blob.snapshots),
-                      gamma=blob.gamma,
-                      params=PotentialParams(s=blob.s, epsilon=blob.epsilon))
-    return traj, blob.labels
-
-
 def cmd_dataset(args) -> int:
     if args.kind == "mixture":
         _dropped(args, "applies only to --kind swiss", "noise")
-        stds = None if args.std is None else [args.std] * 4
-        lp = gaussian_mixture(args.n, stds=stds, seed=args.seed)
+        lp = gaussian_mixture(args.n, stds=args.std, seed=args.seed)
     else:
         _dropped(args, "applies only to --kind mixture", "std")
         noise = 0.2 if args.noise is None else args.noise
@@ -116,19 +110,13 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    lp = load_points(args.data)
     if not (np.isfinite(args.gamma) and args.gamma > 0):
         raise ValueError(f"--gamma must be finite and > 0, got {args.gamma}")
-    s = resolve_exponent(args.s, lp.points.d)
-    params = PotentialParams(s=s, epsilon=args.epsilon)
+    lp = load_points(args.data)
+    params = PotentialParams(s=resolve_exponent(args.s, lp.points.d), epsilon=args.epsilon)
     traj = run_forward(lp.points, args.gamma, args.k, params)
-    persist.write_efsb(args.out, [ps.positions for ps in traj.snapshots],
-                       gamma=args.gamma, s=s, epsilon=args.epsilon, labels=lp.labels)
     energies = energy_trace(traj)
-    with open(args.out + ".energy.csv", "w", newline="\n") as f:
-        f.write("iteration,energy\n")
-        for j, e in enumerate(energies):
-            f.write(f"{j},{e:.17g}\n")
+    persist.write_trajectory(args.out, traj, energies, labels=lp.labels)
     if energies[-1] >= energies[0]:
         logger.warning("energy did not decrease over the run (%g -> %g)",
                        energies[0], energies[-1])
@@ -155,8 +143,9 @@ def cmd_sample(args) -> int:
             raise ValueError("--i needs --j: a path runs from particle i to particle j")
         if args.m is None or args.m < 2:
             raise ValueError("--i needs --m >= 2, the number of points on the path")
-    traj, labels = _read_trajectory(args.traj)
-    bwd = BackwardConfig(gamma=traj.gamma, beta=args.beta, T=args.T)
+    # checked before the trajectory is read; the inversions use its own gamma
+    bwd = BackwardConfig(gamma=0.0, beta=args.beta, T=args.T)
+    traj, labels = persist.read_trajectory(args.traj)
 
     if args.i is not None:
         batch = interpolation_path(traj, args.i, args.j, args.m, bwd,
@@ -165,11 +154,8 @@ def cmd_sample(args) -> int:
         pipeline_mode = "interpolation" if args.mode == "interp" else args.mode
         m, seeds = (1 if args.m is None else args.m), None
         if args.replay:
-            _points, _labels, seeds = persist.read_csv(args.replay)
-            if seeds is None:
-                raise FormatError(f"{args.replay}: expected a samples csv with a trailing seed column")
             # the file fixes the count and the seeds, so --m and --seed go unused
-            seeds = seeds.tolist()
+            seeds = persist.read_seeds(args.replay)
             m = len(seeds)
         batch = generate_from_trajectory(
             traj, bwd, m, mode=pipeline_mode, seed=0 if args.seed is None else args.seed,
@@ -188,8 +174,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    if not str(args.points).endswith(".efsb"):
-        _dropped(args, "needs an .efsb trajectory as --points", "snapshot")
     if not (args.points or args.mmd or args.nn):
         raise ValueError("nothing to do: pass --points, --mmd or --nn")
     if args.mmd:
@@ -202,11 +186,7 @@ def cmd_metrics(args) -> int:
     lines = []
     if args.points:
         if str(args.points).endswith(".efsb"):
-            snapshots = persist.read_efsb(args.points).snapshots
-            idx = len(snapshots) - 1 if args.snapshot is None else args.snapshot
-            if not -len(snapshots) <= idx < len(snapshots):
-                raise ValueError(f"--snapshot {idx} is out of range for {len(snapshots)} snapshots")
-            points = ParticleSet(snapshots[idx])
+            points = ParticleSet(persist.read_efsb(args.points).snapshots[-1])
         else:
             points = load_points(args.points).points
         report = uniformity_report(points)
@@ -231,8 +211,8 @@ def cmd_metrics(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.indices < 1:
         raise ValueError(f"--indices must be >= 1, got {args.indices}")
-    traj, _labels = _read_trajectory(args.traj)
-    bwd = BackwardConfig(gamma=traj.gamma, beta=args.beta, T=args.T)
+    bwd = BackwardConfig(gamma=0.0, beta=args.beta, T=args.T)
+    traj, _labels = persist.read_trajectory(args.traj)
     count = min(args.indices, traj.n)
     batch = invert_batch(traj.snapshots[-1].positions[:count], traj, bwd,
                          args.snapshot_mode, "roundtrip", keep_paths=False)
@@ -302,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
 
     p = command("metrics", cmd_metrics, "uniformity / MMD / novelty reports")
-    p.add_argument("--points", help="point cloud or trajectory file")
-    p.add_argument("--snapshot", type=int, help="snapshot index for trajectory files")
+    p.add_argument("--points", help="point cloud, or trajectory file (its last snapshot)")
     p.add_argument("--mmd", nargs=2, metavar=("A", "B"))
     p.add_argument("--s", type=float, help="MMD kernel exponent (default 1)")
     p.add_argument("--epsilon", type=float, help="MMD kernel regularizer (default 1e-3)")

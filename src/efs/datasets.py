@@ -44,7 +44,8 @@ def gaussian_mixture(n: int, means=None, stds=None, weights=None,
     """n i.i.d. draws from an isotropic Gaussian mixture, with labels.
 
     Defaults to four components at (+-2, +-2) with std 0.3 and equal
-    weights.  Consumes n component uniforms first, then n*d normals.
+    weights; one std given as a number applies to every component.
+    Consumes n component uniforms first, then n*d normals.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -54,9 +55,9 @@ def gaussian_mixture(n: int, means=None, stds=None, weights=None,
     ncomp, d = means.shape
     if ncomp == 0:
         raise ValueError("mixture needs at least one component")
-    if stds is None:
-        stds = [DEFAULT_MIXTURE_STD] * ncomp
-    stds = np.asarray(stds, dtype=np.float64)
+    stds = np.asarray(DEFAULT_MIXTURE_STD if stds is None else stds, dtype=np.float64)
+    if stds.ndim == 0:
+        stds = np.full(ncomp, stds)
     if weights is None:
         weights = [1.0 / ncomp] * ncomp
     weights = np.asarray(weights, dtype=np.float64)

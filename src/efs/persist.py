@@ -1,4 +1,5 @@
-"""File formats: csv point clouds and the efsb binary snapshot container.
+"""File formats: csv point clouds, the efsb binary snapshot container, and
+the run files built on them.
 
 efsb layout (all little-endian):
 
@@ -14,6 +15,12 @@ digits, which also round-trips IEEE doubles exactly through decimal, with LF
 line endings and the header ``x0,x1,...`` plus at most one trailing integer
 column: ``label`` (int32) or ``seed`` (uint64, the recorded RNG seed of a
 generated sample).
+
+A stored trajectory is an efsb of at least 2 snapshots whose header carries
+the run's gamma, s and epsilon, written beside ``<path>.energy.csv``, the
+``iteration,energy`` trace of the run (:func:`write_trajectory`,
+:func:`read_trajectory`).  A samples csv's seed column is what ``efs sample
+--replay`` reads back (:func:`read_seeds`).
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError
+from .forward import ParticleSet, Trajectory
+from .potential import PotentialParams
 
 MAGIC = b"EFSB"
 VERSION = 1
@@ -174,3 +183,32 @@ def read_csv(path):
     column = None if tail is None else np.array(tails, dtype=_TAILS[tail][2])
     return (np.array(pts), column if tail == "label" else None,
             column if tail == "seed" else None)
+
+
+def write_trajectory(path, traj: Trajectory, energies, labels=None):
+    """Store ``traj`` as an efsb and its energy trace as ``<path>.energy.csv``."""
+    write_efsb(path, [ps.positions for ps in traj.snapshots], gamma=traj.gamma,
+               s=traj.params.s, epsilon=traj.params.epsilon, labels=labels)
+    with open(str(path) + ".energy.csv", "w", newline="\n") as f:
+        f.write("iteration,energy\n")
+        for j, e in enumerate(energies):
+            f.write(f"{j},{e:.17g}\n")
+
+
+def read_trajectory(path):
+    """Returns (Trajectory, labels-or-None) from an efsb of at least 2 snapshots."""
+    blob = read_efsb(path)
+    if len(blob.snapshots) < 2:
+        raise FormatError(f"{path}: holds {len(blob.snapshots)} snapshot; "
+                          "a trajectory has at least 2")
+    traj = Trajectory(tuple(ParticleSet(a) for a in blob.snapshots), gamma=blob.gamma,
+                      params=PotentialParams(s=blob.s, epsilon=blob.epsilon))
+    return traj, blob.labels
+
+
+def read_seeds(path) -> list:
+    """The seed column of a samples csv, as Python ints."""
+    _points, _labels, seeds = read_csv(path)
+    if seeds is None:
+        raise FormatError(f"{path}: expected a samples csv with a trailing seed column")
+    return seeds.tolist()

@@ -6,6 +6,7 @@ import pytest
 
 from efs import (
     BackwardConfig,
+    BackwardPath,
     InstabilityError,
     ParticleSet,
     PotentialParams,
@@ -220,6 +221,17 @@ def test_invert_divergence_raises():
         invert_step(snap.positions[0] + 1e-4, snap, cfg, p)
 
 
+def test_invert_reports_a_non_finite_gradient_as_divergence():
+    # 1e-30 from a particle at eps = 0 the separation is not zero, but at
+    # s = 13 q^(s/2) underflows to 0, so the first gradient is not finite
+    snap = ParticleSet([[0.0, 0.0], [1.0, 0.0]])
+    cfg = BackwardConfig(gamma=0.1, beta=0.1, T=5)
+    # numpy warns of the underflow and the division by zero before the loop raises
+    with np.errstate(all="ignore"), pytest.raises(InstabilityError,
+                                                  match="^inner iterates diverged"):
+        invert_step([1e-30, 0.0], snap, cfg, PotentialParams(13.0, 0.0), _warn=False)
+
+
 def test_invert_from_a_snapshot_particle_at_zero_epsilon_raises():
     # at eps = 0 the pair with the coincident particle is singular, so the
     # first gradient raises before any step
@@ -382,6 +394,11 @@ def test_invert_rejects_a_start_that_is_not_a_finite_vector_of_the_dimension():
 
 
 # ---------------------------------------------------------------- run_backward
+
+def test_backward_path_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="non-finite points"):
+        BackwardPath(np.array([[0.0, 1.0], [np.nan, 1.0]]), np.array([0.0]))
+
 
 def test_run_backward_gamma_zero_identity():
     ps = random_set(6, 2, seed=11)

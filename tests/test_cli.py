@@ -56,6 +56,9 @@ def test_config_malformed(tmp_path):
     cfg.write_text("gamma 0.1\n")
     with pytest.raises(ValueError, match="line 1"):
         load_config_file(cfg)
+    cfg.write_text("k = 2\n = 3\n")
+    with pytest.raises(ValueError, match="line 2: empty key"):
+        load_config_file(cfg)
 
 
 def test_flags_override_config(tmp_path, capsys, mixture_file):
@@ -112,16 +115,13 @@ def test_config_ignores_keys_that_are_not_options(tmp_path, capsys, mixture_file
 
 @pytest.mark.parametrize("case", ["metrics_s_epsilon", "sample_seed_on_a_path",
                                   "sample_path_without_interp", "dataset_mixture_noise",
-                                  "dataset_swiss_std", "metrics_snapshot_of_a_csv",
-                                  "sample_replay_on_a_path", "sample_j_without_i",
-                                  "metrics_epsilon"])
+                                  "dataset_swiss_std", "sample_replay_on_a_path",
+                                  "sample_j_without_i", "metrics_epsilon"])
 def test_config_values_a_run_would_drop_are_ignored(tmp_path, capsys, trajectory_file, case):
     # as config keys these options are ignored; as flags they still exit 2
     out = str(tmp_path / "out.csv")
     sample = ["sample", "--traj", str(trajectory_file), "--beta", "0.1", "--T", "50",
               "--out", out]
-    points_csv = tmp_path / "points.csv"
-    write_csv(points_csv, read_efsb(trajectory_file).snapshots[0])
     seeds_csv = str(tmp_path / "seeds.csv")
     config, argv, flags, message = {
         "metrics_s_epsilon": ("s = 1\nepsilon = 0.001\n",
@@ -140,9 +140,6 @@ def test_config_values_a_run_would_drop_are_ignored(tmp_path, capsys, trajectory
         "dataset_swiss_std": ("std = 0.3\n",
                               ["dataset", "--kind", "swiss", "--n", "50", "--out", out],
                               ["--std", "0.3"], "--std applies only to --kind mixture"),
-        "metrics_snapshot_of_a_csv": ("snapshot = 0\n", ["metrics", "--points", str(points_csv)],
-                                      ["--snapshot", "0"],
-                                      "--snapshot needs an .efsb trajectory as --points"),
         "sample_replay_on_a_path": (f"replay = {seeds_csv}\n",
                                     sample + ["--mode", "interp", "--i", "0", "--j", "1",
                                               "--m", "3"],
@@ -224,7 +221,7 @@ def test_every_option_is_read_by_its_command():
             if not re.search(rf"\bargs\.{action.dest}\b", source):
                 unread.append(f"{name} {action.option_strings[0]}")
     assert unread == []
-    assert count == 41
+    assert count == 40
 
 
 def test_benchmark_argv_parses():
@@ -245,6 +242,7 @@ def test_benchmark_argv_parses():
     ["sample", "--traj", "t.efsb", "--beta", "0.1", "--T", "10", "--out", "s.csv",
      "--grad-tol", "1e-9"],
     ["roundtrip", "--traj", "t.efsb", "--tol", "0.1"],
+    ["metrics", "--points", "t.efsb", "--snapshot", "0"],
 ])
 def test_removed_options_are_unknown(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -635,37 +633,18 @@ def test_sample_svg_one_dimensional(tmp_path, capsys):
 
 # ---------------------------------------------------------------- metrics
 
-def test_metrics_uniformity_snapshots(tmp_path, capsys, trajectory_file):
+def test_metrics_uniformity_snapshots(capsys, mixture_file, trajectory_file):
+    # a trajectory is measured at its last snapshot; its snapshot 0 is the dataset file
+    blob = read_efsb(trajectory_file)
     code, kv_final = run(capsys, "metrics", "--points", str(trajectory_file))
     assert code == 0
     assert "radial_ks" in kv_final and "angular_ks" in kv_final
-    code, kv_first = run(capsys, "metrics", "--points", str(trajectory_file),
-                         "--snapshot", "0")
+    code, kv_first = run(capsys, "metrics", "--points", str(mixture_file))
     assert code == 0
     assert 0.0 <= float(kv_final["radial_ks"]) <= 1.0
     assert float(kv_first["radial_ks"]) != float(kv_final["radial_ks"])
-    code, kv_last = run(capsys, "metrics", "--points", str(trajectory_file), "--snapshot", "-1")
-    assert code == 0
-    assert kv_last == kv_final
-
-
-@pytest.mark.parametrize("index", ["6", "-7", "99"])
-def test_metrics_snapshot_out_of_range(capsys, trajectory_file, index):
-    code = main(["metrics", "--points", str(trajectory_file), "--snapshot", index])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--snapshot" in err and "6 snapshots" in err
-
-
-@pytest.mark.parametrize("source", ["csv", "mmd"])
-def test_metrics_snapshot_needs_a_trajectory(tmp_path, capsys, mixture_file, source):
-    points = tmp_path / "p.csv"
-    write_csv(points, read_efsb(mixture_file).snapshots[0])
-    inputs = {"csv": ["--points", str(points)],
-              "mmd": ["--mmd", str(points), str(mixture_file)]}[source]
-    code = main(["metrics", "--snapshot", "0"] + inputs)
-    assert code == 2
-    assert "--snapshot" in capsys.readouterr().err
+    for kv, snapshot in ((kv_first, blob.snapshots[0]), (kv_final, blob.snapshots[-1])):
+        assert float(kv["radial_ks"]) == efs.uniformity_report(ParticleSet(snapshot)).radial_ks
 
 
 def test_metrics_mmd_halves(tmp_path, capsys, mixture_file):
@@ -817,10 +796,33 @@ def test_roundtrip_rejects_indices_below_one(capsys, monkeypatch, trajectory_fil
     def read(path):
         raise AssertionError("the trajectory was read before --indices was checked")
 
-    monkeypatch.setattr(efs.cli, "_read_trajectory", read)
+    monkeypatch.setattr(efs.persist, "read_efsb", read)
     code = main(["roundtrip", "--traj", str(trajectory_file), "--T", "10", "--indices", count])
     assert code == 2
     assert "--indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["forward", "--data", "missing.efsb", "--gamma", "nan", "--k", "3", "--s", "1",
+      "--out", "t.efsb"], "--gamma"),
+    (["sample", "--traj", "missing.efsb", "--beta", "nan", "--T", "10", "--out", "s.csv"],
+     "beta"),
+    (["sample", "--traj", "missing.efsb", "--beta", "0.1", "--T", "0", "--out", "s.csv"], "T"),
+    (["roundtrip", "--traj", "missing.efsb", "--beta", "nan"], "beta"),
+    (["roundtrip", "--traj", "missing.efsb", "--T", "0"], "T"),
+], ids=["forward_gamma_nan", "sample_beta_nan", "sample_T_0", "roundtrip_beta_nan",
+        "roundtrip_T_0"])
+def test_bad_options_exit_2_before_any_file_is_read(capsys, monkeypatch, argv, option):
+    # a missing file would exit 4 and mask the bad option
+    def read(path):
+        raise AssertionError(f"{path} was read before the options were checked")
+
+    monkeypatch.setattr(efs.persist, "read_efsb", read)
+    monkeypatch.setattr(efs.cli, "load_points", read)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(rf"error: {option} must be", captured.err)
 
 
 @pytest.mark.parametrize("command", ["sample", "roundtrip"])

@@ -14,6 +14,13 @@ def test_mixture_single_component_zero_std():
     np.testing.assert_array_equal(lp.labels, np.zeros(10, dtype=np.int32))
 
 
+def test_mixture_one_std_applies_to_every_component(tmp_path):
+    a, b = tmp_path / "a.efsb", tmp_path / "b.efsb"
+    save_points(gaussian_mixture(50, stds=0.5, seed=3), a)
+    save_points(gaussian_mixture(50, stds=[0.5] * 4, seed=3), b)
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_mixture_degenerate_weights():
     lp = gaussian_mixture(50, means=[(0.0, 0.0), (5.0, 5.0)], stds=[1.0, 1.0],
                           weights=[1.0, 0.0], seed=1)
@@ -94,6 +101,8 @@ def test_swiss_noise_validation():
 def test_generators_reject_non_finite_spread(value):
     with pytest.raises(ValueError, match="^stds must be finite and >= 0"):
         gaussian_mixture(10, means=[(0, 0), (1, 1)], stds=[0.3, value], weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match="^stds must be finite and >= 0"):
+        gaussian_mixture(10, stds=value)
     with pytest.raises(ValueError, match=f"^noise must be finite and >= 0, got {value}$"):
         swiss_roll(10, noise=value)
 

@@ -34,6 +34,8 @@ def random_set(n, d, seed=0, scale=1.0):
 def test_particle_set_validation():
     with pytest.raises(ValueError):
         ParticleSet(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        ParticleSet(np.zeros((3, 0)))
     with pytest.raises(ValueError):
         ParticleSet(np.zeros((3,)))
     with pytest.raises(ValueError):
@@ -103,6 +105,8 @@ def test_energy_coincident_singularity():
 def test_energy_needs_two_particles():
     with pytest.raises(ValueError):
         interaction_energy(ParticleSet([[0.0, 0.0]]), S1)
+    with pytest.raises(ValueError, match="forces need at least 2 particles"):
+        forward_gradient(ParticleSet([[0.0, 0.0]]), S1)
 
 
 # ---------------------------------------------------------------- forces

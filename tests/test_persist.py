@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from efs import FormatError
-from efs.persist import read_csv, read_efsb, write_csv, write_efsb
+from efs import FormatError, ParticleSet, PotentialParams, Trajectory
+from efs.persist import (read_csv, read_efsb, read_trajectory, write_csv, write_efsb,
+                         write_trajectory)
 from efs.rng import SplitMix64
 
 
@@ -115,6 +116,8 @@ def test_efsb_rejects_malformed_body(tmp_path, edit, message):
 
 
 def test_efsb_rejects_shape_mismatch(tmp_path):
+    with pytest.raises(ValueError, match="need at least one snapshot"):
+        write_efsb(tmp_path / "t.efsb", [])
     with pytest.raises(ValueError):
         write_efsb(tmp_path / "t.efsb", [random_matrix(3, 2), random_matrix(4, 2)])
     with pytest.raises(ValueError):
@@ -159,6 +162,14 @@ def test_csv_out_of_range_column_names_line(tmp_path, column, value):
     path.write_text(f"x0,x1,{column}\n1.0,2.0,0\n3.0,4.0,{value}\n")
     with pytest.raises(FormatError, match=f"line 3: {column} {value} is outside"):
         read_csv(path)
+
+
+def test_csv_skips_blank_data_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x0,x1\n1.0,2.0\n\n  \n3.0,4.0\n")
+    points, labels, seeds = read_csv(path)
+    np.testing.assert_array_equal(points, [[1.0, 2.0], [3.0, 4.0]])
+    assert labels is None and seeds is None
 
 
 def test_csv_header_and_line_endings(tmp_path):
@@ -212,3 +223,18 @@ def test_csv_empty_and_headerless(tmp_path):
     path.write_text("x0,x1\n")
     with pytest.raises(FormatError, match="no data"):
         read_csv(path)
+
+
+# ---------------------------------------------------------------- run files
+
+def test_trajectory_roundtrip_and_energy_csv(tmp_path):
+    traj = Trajectory(tuple(ParticleSet(random_matrix(5, 2, seed=i)) for i in range(3)),
+                      gamma=0.1, params=PotentialParams(1.0, 1e-3))
+    path = tmp_path / "t.efsb"
+    write_trajectory(path, traj, [3.0, 2.5, 0.1], labels=[0, 1, 2, 0, 1])
+    back, labels = read_trajectory(path)
+    assert back == traj
+    assert labels.tolist() == [0, 1, 2, 0, 1]
+    assert (tmp_path / "t.efsb.energy.csv").read_bytes() == (
+        b"iteration,energy\n0,3\n1,2.5\n2,0.10000000000000001\n")
+

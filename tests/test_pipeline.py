@@ -11,6 +11,7 @@ from efs import (
     InstabilityError,
     ParticleSet,
     PotentialParams,
+    Trajectory,
     efs_generate,
     estimate_enclosure,
     generate_from_trajectory,
@@ -284,6 +285,15 @@ def test_batch_counts_capped_inversions():
             residuals = np.concatenate([p.inner_residuals for p in batch.paths])
             assert batch.inner_capped == int(np.sum(residuals > cfg.grad_tol))
     assert generate_from_trajectory(traj, BackwardConfig(0.01, 0.5, 2), 3).inner_capped == 12
+    # an inversion that wanders instead of descending is counted too: it ends
+    # its T = 500 iterations far from stationary (the start rounded to
+    # 2.0966962 converges)
+    snap = random_set(25, 1, seed=0, scale=2.0)
+    wander = Trajectory((snap, snap), gamma=0.01, params=PotentialParams(2.5, 1e-3))
+    batch = efs.pipeline.invert_batch([[2.096696196347619]], wander,
+                                      BackwardConfig(0.01, 0.3, 500), "paper", "sphere")
+    assert batch.inner_capped == 1
+    assert batch.paths[0].inner_residuals[0] == pytest.approx(0.885, abs=5e-4)
 
 
 def test_batch_inverts_with_the_trajectory_gamma(caplog):

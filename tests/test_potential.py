@@ -67,6 +67,8 @@ def test_value_singularity():
 def test_value_rejects_nonfinite():
     with pytest.raises(ValueError):
         potential_value([np.inf, 0.0], PotentialParams(1.0, 0.1))
+    with pytest.raises(ValueError, match="expected a 1-d vector, got shape"):
+        potential_value([[1.0, 0.0]], PotentialParams(1.0, 0.1))
 
 
 # ---------------------------------------------------------------- gradient

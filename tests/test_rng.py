@@ -37,6 +37,11 @@ def test_raw_stream_continues_counter():
     np.testing.assert_array_equal(np.concatenate([rng._raw(2), rng._raw(3)]), whole)
 
 
+def test_integer_needs_a_positive_bound():
+    with pytest.raises(ValueError, match="bound must be positive"):
+        SplitMix64(1).integer(0)
+
+
 def test_uniforms_pinned():
     assert SplitMix64(1).uniforms(2).tolist() == [0.566561575172281, 0.7457817572627012]
 
