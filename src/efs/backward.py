@@ -22,7 +22,8 @@ point back to the data distribution.
 
 The loop steps in Python floats: the iterate, the anchor, the gradient of H
 and the candidate are lists of d floats, and numpy does only the (d, n) work,
-one :func:`mean_field_gradient` call per gradient.  Each element is rounded
+one :func:`mean_field_gradient` call per gradient, which takes the list as
+it is and subtracts one coordinate at a time.  Each element is rounded
 as the array formula rounds it, so the iterates are those of numpy vector
 arithmetic; only the dot products g . g and g . g_c are Python sums of the d
 products, which can round differently from a BLAS dot in the last bit.
@@ -36,6 +37,10 @@ the squares and eps into ``q`` row by row, in ``pair_blocks``' order, so
 ``q`` is bit for bit ``pair_blocks``' squared distance plus eps.  H and the
 gradient pass their ``q`` to
 :func:`efs.potential.check_separation`, so a zero separation raises.
+
+:func:`run_backward` takes a memo dict that :func:`efs.pipeline.invert_batch`
+shares across a batch, so a (step, start) that two samples reach is inverted
+once; the reused result is the same bits.
 """
 
 from __future__ import annotations
@@ -115,15 +120,18 @@ class _Workspace:
     """Buffers for the gradients of one inversion against one snapshot.
 
     ``cols`` is a contiguous (d, n) copy of the snapshot's positions, ``t``
-    takes the differences v - x_i, the first d rows of ``w`` their squares and
-    its last row holds eps, and ``q`` takes the sum of ``w``'s rows, then the
-    gradient coefficients; ``n`` is the particle count.  Built once per
+    takes the differences v - x_i, the first d rows of ``w`` (the stored view
+    ``sq``) their squares and its last row holds eps, and ``q`` takes the sum
+    of ``w``'s rows, then the gradient coefficients; ``n`` is the particle
+    count.  ``rows`` pairs each coordinate's column of ``cols`` with its row
+    of ``t``, so the gradient subtracts one float per coordinate from a
+    column instead of broadcasting a (d, 1) array.  Built once per
     :func:`invert_step` call, so its inner loop allocates no (d, n) block; for
     s > 0 the power ``q^(s/2)`` still takes one length-n temporary
     (:func:`efs.potential.gradient_coef`).
     """
 
-    __slots__ = ("cols", "t", "w", "q", "n")
+    __slots__ = ("cols", "t", "w", "sq", "q", "n", "rows")
 
     def __init__(self, snap: ParticleSet, p: PotentialParams):
         self.cols = np.ascontiguousarray(snap.positions.T)
@@ -132,36 +140,61 @@ class _Workspace:
         self.t = np.empty((d, n))
         self.w = np.empty((d + 1, n))
         self.w[-1] = p.epsilon
+        self.sq = self.w[:-1]
         self.q = np.empty(n)
+        self.rows = tuple(zip(self.cols, self.t))
 
 
-def mean_field_gradient(v: np.ndarray, snap: ParticleSet, p: PotentialParams,
+def mean_field_gradient(v, snap: ParticleSet, p: PotentialParams,
                         work: _Workspace | None = None) -> np.ndarray:
     """(1/n) * sum_i grad W(v - x_i) over the snapshot particles.
 
-    The (d, n) differences go to ``work.t``, their squares to the first d
-    rows of ``work.w``, and one axis-0 reduction of ``work.w`` adds the rows
-    in order, so ``q = ((t_0^2 + t_1^2) + ...) + eps`` as in ``pair_blocks``.
-    The coefficients overwrite ``q``, and one (d, n) @ (n,) product reduces
-    them.  ``work`` must be built for ``snap`` and ``p``; without it one is
-    built for this call.  The result is a new array.
+    ``v`` is the point as d floats, a list (the inner loop's) or a 1-d array;
+    a point of another length raises :class:`ValueError` (a strict ``zip``
+    over the coordinates), and a non-finite one gives a non-finite gradient.
+    Each coordinate's differences go to its row of ``work.t``, their squares
+    to the first d rows of ``work.w``, and one axis-0 reduction of ``work.w``
+    adds the rows in order, so ``q = ((t_0^2 + t_1^2) + ...) + eps`` as in
+    ``pair_blocks``.  The coefficients overwrite ``q``, and one (d, n) @ (n,)
+    product reduces them.  ``work`` must be built for ``snap`` and ``p``;
+    without it one is built for this call.  The result is a new array.
     """
     if work is None:
         work = _Workspace(snap, p)
-    t, w, q = work.t, work.w, work.q
-    np.subtract(v[:, None], work.cols, out=t)
-    np.square(t, out=w[:-1])
-    np.add.reduce(w, axis=0, out=q)
+    for vk, (col, tk) in zip(v, work.rows, strict=True):
+        np.subtract(vk, col, out=tk)
+    np.square(work.t, out=work.sq)
+    q = np.add.reduce(work.w, axis=0, out=work.q)
     check_separation(q, p.epsilon)
-    g = t @ gradient_coef(q, p.s, out=q)
+    g = work.t @ gradient_coef(q, p.s, out=q)
     g /= work.n
     return g
 
 
+def _point(y, snap: ParticleSet) -> list:
+    """``y`` as a list of d finite floats, d the snapshot's dimension.
+
+    Raises :class:`ValueError` for any other shape or a non-finite entry.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (snap.d,):
+        raise ValueError(
+            f"start must be a vector of the snapshot's dimension {snap.d}, got shape {y.shape}")
+    point = y.tolist()
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"start must be finite, got {point}")
+    return point
+
+
 def augmented_forward_map(y: np.ndarray, snap: ParticleSet, gamma: float,
                           p: PotentialParams) -> np.ndarray:
-    """The forward map a single augmented point would follow against ``snap``."""
-    return y - gamma * mean_field_gradient(np.asarray(y, float), snap, p)
+    """The forward map a single augmented point would follow against ``snap``.
+
+    ``y`` must be a finite vector of the snapshot's dimension, as a start of
+    :func:`invert_step` must (the same :class:`ValueError`).
+    """
+    point = _point(y, snap)
+    return np.array(point) - gamma * mean_field_gradient(point, snap, p)
 
 
 def prox_objective(v, anchor, snap: ParticleSet, cfg: BackwardConfig,
@@ -188,7 +221,7 @@ def _prox_gradient(v, anchor, snap: ParticleSet, cfg: BackwardConfig,
     as the formula; ``work`` is passed on to :func:`mean_field_gradient`.
     """
     neg_gamma = -cfg.gamma
-    m = mean_field_gradient(np.array(v), snap, p, work)
+    m = mean_field_gradient(v, snap, p, work)
     return [(mk * neg_gamma) + (vk - yk) for mk, vk, yk in zip(m.tolist(), v, anchor)]
 
 
@@ -242,13 +275,7 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
     particle at eps = 0 and :class:`InstabilityError` when the gradient is
     non-finite or no step down to ``beta / 2**MAX_HALVINGS`` descends.
     """
-    y = np.asarray(y_j, dtype=np.float64)
-    if y.shape != (snap.d,):
-        raise ValueError(
-            f"start must be a vector of the snapshot's dimension {snap.d}, got shape {y.shape}")
-    anchor = y.tolist()
-    if not all(map(math.isfinite, anchor)):
-        raise ValueError(f"start must be finite, got {anchor}")
+    anchor = _point(y_j, snap)
     if _warn:
         _warn_convexity_guard(cfg.gamma, p)
     work = _Workspace(snap, p)
@@ -279,7 +306,7 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
 
 
 def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
-                 snapshot_mode: str = "paper") -> BackwardPath:
+                 snapshot_mode: str = "paper", memo: dict | None = None) -> BackwardPath:
     """Walk the inversions from snapshot k down to snapshot 0.
 
     ``snapshot_mode="paper"`` uses the same-index schedule: step j inverts
@@ -298,19 +325,35 @@ def run_backward(y_k, traj: Trajectory, cfg: BackwardConfig,
     undoes the forward map, so ``cfg.gamma`` is not used.  Nothing is
     logged: a T-capped inversion is an ``inner_residuals`` entry above
     ``grad_tol``, which :func:`efs.pipeline.invert_batch` reports.
+
+    ``memo`` maps ``(j, start bytes)`` to the ``(v, residual)`` that
+    :func:`invert_step` returned for that start at step j; a start found
+    there is not inverted again, and each one inverted is stored.  Without
+    one, a fresh dict serves this path alone and finds nothing.
+    :func:`invert_step` is a deterministic function of the start, the
+    snapshot, the config and the params, so the path is the same bits either
+    way.  One dict may serve only runs with the same ``traj``, ``cfg`` and
+    ``snapshot_mode``, as the runs of one :func:`efs.pipeline.invert_batch`.
     """
     if snapshot_mode not in SNAPSHOT_MODES:
         raise ValueError(f"snapshot_mode must be one of {SNAPSHOT_MODES}")
     cfg = replace(cfg, gamma=traj.gamma)
+    if memo is None:
+        memo = {}  # one path meets each step j once, so nothing is found
     cur = np.asarray(y_k, dtype=np.float64)
     points = [cur]
     residuals = []
     for j in range(traj.k, 0, -1):
-        snap = traj.snapshots[j if snapshot_mode == "paper" else j - 1]
-        try:
-            cur, res = invert_step(cur, snap, cfg, traj.params, _warn=False)
-        except (InstabilityError, SingularityError) as e:
-            raise type(e)(f"backward step j={j}: {e}") from e
+        key = (j, cur.tobytes())
+        if key in memo:
+            cur, res = memo[key]
+        else:
+            snap = traj.snapshots[j if snapshot_mode == "paper" else j - 1]
+            try:
+                cur, res = invert_step(cur, snap, cfg, traj.params, _warn=False)
+            except (InstabilityError, SingularityError) as e:
+                raise type(e)(f"backward step j={j}: {e}") from e
+            memo[key] = cur, res
         points.append(cur)
         residuals.append(res)
     return BackwardPath(np.array(points), np.array(residuals))

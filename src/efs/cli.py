@@ -6,13 +6,14 @@ to standard error.  Exit codes: 0 success, 2 configuration error,
 no file themselves: point files go through :mod:`efs.datasets`, the
 trajectory, its energy csv, samples csvs and a replay's seed column through
 :mod:`efs.persist`, and the picture through :mod:`efs.svg`.  The options
-that need no data (such as ``efs forward --gamma``, ``--beta``, ``--T``,
-``--indices``, the dropped-option rules) exit 2 before any file is read,
-so a missing file cannot mask them.  A ``--config`` file's keys are the
-long option names with ``_`` for ``-`` (``snapshot_mode``); keys that
-name no single-value option of the subcommand are ignored, and values are
-parsed, checked against the option's choices and rejected like flags
-(exit 2).  An option that a run would drop exits 2 as a flag and is ignored
+that need no data (such as ``efs forward --gamma``, ``--k``, ``--epsilon``
+and a numeric ``--s``, ``--beta``, ``--T``, ``--m``, ``--indices``, the
+dropped-option rules) exit 2 before any file is read, so a missing file
+cannot mask them; only ``--s d-2`` waits for the data's d.  A ``--config``
+file's keys are the long option names with ``_`` for ``-``
+(``snapshot_mode``); keys that name no single-value option of the
+subcommand are ignored, and values are parsed, checked against the
+option's choices and rejected like flags (exit 2).  An option that a run would drop exits 2 as a flag and is ignored
 as a config key, so one file can serve every command: ``noise`` for a
 mixture and ``std`` for a Swiss roll (dataset); ``i`` and ``j`` outside
 ``--mode interp``, ``j`` without ``i``, ``replay`` and ``seed`` on an ``--i``
@@ -65,11 +66,9 @@ def load_config_file(path) -> dict:
     return out
 
 
-def resolve_exponent(raw: str, d: int) -> float:
-    """The exponent accepts the symbolic token ``d-2``."""
-    if raw.replace("−", "-").strip() == "d-2":
-        return float(d - 2)
-    return float(raw)
+def is_dimension_token(raw: str) -> bool:
+    """Whether the exponent is the symbolic token ``d-2``, which needs the data's d."""
+    return raw.replace("−", "-").strip() == "d-2"
 
 
 def seed(raw: str) -> int:
@@ -112,8 +111,14 @@ def cmd_dataset(args) -> int:
 def cmd_forward(args) -> int:
     if not (np.isfinite(args.gamma) and args.gamma > 0):
         raise ValueError(f"--gamma must be finite and > 0, got {args.gamma}")
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    # checks --epsilon, and --s unless it waits for the data's d
+    dim_token = is_dimension_token(args.s)
+    params = PotentialParams(s=0.0 if dim_token else float(args.s), epsilon=args.epsilon)
     lp = load_points(args.data)
-    params = PotentialParams(s=resolve_exponent(args.s, lp.points.d), epsilon=args.epsilon)
+    if dim_token:
+        params = PotentialParams(s=float(lp.points.d - 2), epsilon=args.epsilon)
     traj = run_forward(lp.points, args.gamma, args.k, params)
     energies = energy_trace(traj)
     persist.write_trajectory(args.out, traj, energies, labels=lp.labels)
@@ -136,6 +141,8 @@ def cmd_sample(args) -> int:
     # with --i the run is a path, which takes no seed; without it, no --j
     if args.i is None:
         _dropped(args, "requires --i", "j")
+        if args.m is not None and args.m < 1 and not args.replay:
+            raise ValueError(f"--m must be >= 1, got {args.m}")
     else:
         _dropped(args, "cannot be combined with --i: a path has no seeds to replay", "replay")
         _dropped(args, "cannot be combined with --i: a path draws no random numbers", "seed")

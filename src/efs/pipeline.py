@@ -8,6 +8,15 @@ sees only the stored snapshots, so samples are independent and are inverted
 one after another.  ``generate_from_trajectory(threads=)`` is accepted and
 ignored: the per-sample work is small and GIL-bound, and a thread pool
 measured slower than one thread.
+
+A batch inverts each (step, start) once: :func:`invert_batch` passes one
+dict to every :func:`efs.backward.run_backward` of the batch, so a sample
+that reaches the bytes another sample reached at the same step reuses that
+inversion, the same bits it would compute.  That pays where samples merge:
+on the reference mixture they collapse onto shared paths from about step 16
+on, and 14-19 % of a 50-sample batch's inversions are reused.  Merged samples
+are copies of one another, so the saving measures the collapse; where
+samples stay apart (the Swiss roll, the n = 2000 mixture) nothing is reused.
 """
 
 from __future__ import annotations
@@ -109,14 +118,17 @@ def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: s
                  keep_paths: bool = True) -> SampleBatch:
     """Invert each start back through ``traj`` and collect the batch.
 
-    Each step is inverted with ``traj.gamma`` (see :func:`run_backward`).
+    Each step is inverted with ``traj.gamma`` (see :func:`run_backward`),
+    and each (step, start) once, through one memo dict for the batch.
     This is the one place a backward run is reported, once per batch: a
     ``traj.gamma`` above the convexity guard, and the T-capped inversions
     that ``inner_capped`` counts, with the worst residual.
     """
     _warn_convexity_guard(traj.gamma, traj.params)
+    memo = {}
     try:
-        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode) for y in starts]
+        paths = [run_backward(y, traj, bwd, snapshot_mode=snapshot_mode, memo=memo)
+                 for y in starts]
     except Exception as e:
         raise type(e)(f"backward stage: {e}") from e
     residuals = np.concatenate([p.inner_residuals for p in paths])

@@ -141,6 +141,8 @@ def test_workspace_gradient_is_the_row_loop_bit_for_bit(s, d):
         g = mean_field_gradient(v, snap, p, work)
         assert g.tobytes() == want.tobytes()
         assert mean_field_gradient(v, snap, p).tobytes() == want.tobytes()
+        # the inner loop passes its list of d floats
+        assert mean_field_gradient(v.tolist(), snap, p, work).tobytes() == want.tobytes()
         prox = np.array(_prox_gradient(v, anchor, snap, cfg, p, work))
         assert prox.tobytes() == (v - anchor - cfg.gamma * want).tobytes()
         results.append(g)
@@ -239,6 +241,21 @@ def test_invert_from_a_snapshot_particle_at_zero_epsilon_raises():
     cfg = BackwardConfig(gamma=0.1, beta=0.1, T=10)
     with pytest.raises(SingularityError, match="coincident points: zero separation"):
         invert_step(snap.positions[3], snap, cfg, PotentialParams(1.0, 0.0), _warn=False)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mean_field_gradient_takes_exactly_d_floats(d):
+    # a point of length 1 used to be broadcast against every coordinate
+    snap = random_set(10, d, seed=9)
+    p = PotentialParams(1.0, 1e-3)
+    for length in (d - 1, d + 1):
+        with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer)"):
+            mean_field_gradient(np.full(length, 0.5), snap, p)
+    # no finiteness check: a step into overflow must come back non-finite,
+    # so that invert_step halves it
+    x = np.full(d, 0.5)
+    x[0] = np.nan
+    assert not np.any(np.isfinite(mean_field_gradient(x, snap, p)))
 
 
 def test_one_point_sites_raise_at_a_snapshot_particle_at_zero_epsilon():
@@ -385,12 +402,16 @@ def test_invert_rejects_a_start_that_is_not_a_finite_vector_of_the_dimension():
     cfg = BackwardConfig(gamma=0.01, beta=0.1, T=10)
     traj = run_forward(snap, 0.01, 2, p)
     for start, message in [([float("nan"), 0.0], r"^start must be finite, got \[nan, 0.0\]"),
+                           ([0.5], r"dimension 2, got shape \(1,\)"),
                            ([0.1, 0.2, 0.3], r"dimension 2, got shape \(3,\)"),
                            (0.5, r"dimension 2, got shape \(\)")]:
         with pytest.raises(ValueError, match=message):
             invert_step(start, snap, cfg, p)
         with pytest.raises(ValueError, match=message):
             run_backward(start, traj, cfg)
+        # the forward map of one point takes the same points
+        with pytest.raises(ValueError, match=message):
+            augmented_forward_map(start, snap, 0.1, p)
 
 
 # ---------------------------------------------------------------- run_backward

@@ -810,8 +810,14 @@ def test_roundtrip_rejects_indices_below_one(capsys, monkeypatch, trajectory_fil
     (["sample", "--traj", "missing.efsb", "--beta", "0.1", "--T", "0", "--out", "s.csv"], "T"),
     (["roundtrip", "--traj", "missing.efsb", "--beta", "nan"], "beta"),
     (["roundtrip", "--traj", "missing.efsb", "--T", "0"], "T"),
+    (["forward", "--data", "missing.efsb", "--gamma", "0.1", "--k", "0", "--s", "1",
+      "--out", "t.efsb"], "--k"),
+    (["forward", "--data", "missing.efsb", "--gamma", "0.1", "--k", "3", "--s", "1",
+      "--epsilon", "-1", "--out", "t.efsb"], "epsilon"),
+    (["sample", "--traj", "missing.efsb", "--beta", "0.1", "--T", "5", "--m", "0",
+      "--out", "s.csv"], "--m"),
 ], ids=["forward_gamma_nan", "sample_beta_nan", "sample_T_0", "roundtrip_beta_nan",
-        "roundtrip_T_0"])
+        "roundtrip_T_0", "forward_k_0", "forward_epsilon_negative", "sample_m_0"])
 def test_bad_options_exit_2_before_any_file_is_read(capsys, monkeypatch, argv, option):
     # a missing file would exit 4 and mask the bad option
     def read(path):

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import efs.backward
 import efs.pipeline
 from efs import (
     BackwardConfig,
@@ -333,3 +334,38 @@ def test_interpolation_path_errors_name_backward_stage():
     diverging = BackwardConfig(gamma=0.01, beta=1e12, T=20)
     with pytest.raises(InstabilityError, match="^backward stage: "):
         interpolation_path(traj, 0, 1, 3, diverging)
+
+
+def test_batch_inverts_each_step_and_start_once(monkeypatch):
+    traj = small_trajectory(seed=9)
+    y, z = traj.snapshots[-1].positions[:2] + 0.25
+    calls = {"invert_step": 0, "run_backward": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(efs.backward, "invert_step")
+    counted(efs.pipeline, "run_backward")
+    capped = []
+    for cfg in (BackwardConfig(gamma=0.01, beta=0.5, T=2), SMALL_BWD):
+        calls.update(invert_step=0, run_backward=0)
+        batch = efs.pipeline.invert_batch([y, y, z], traj, cfg, "paper", "sphere")
+        # the second y finds every step in the batch's memo
+        assert calls == {"invert_step": 2 * traj.k, "run_backward": 3}
+        alone = [efs.pipeline.invert_batch([start], traj, cfg, "paper", "sphere")
+                 for start in (y, y, z)]
+        assert batch.generated.tobytes() == np.concatenate(
+            [b.generated for b in alone]).tobytes()
+        for path, b in zip(batch.paths, alone):
+            assert path.points.tobytes() == b.paths[0].points.tobytes()
+            assert path.inner_residuals.tobytes() == b.paths[0].inner_residuals.tobytes()
+        assert batch.inner_capped == sum(b.inner_capped for b in alone)
+        capped.append(batch.inner_capped)
+    # a reused inversion counts again, as it would if it were computed again
+    assert capped == [3 * traj.k, 0]
