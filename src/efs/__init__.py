@@ -16,7 +16,7 @@ from .backward import (
     prox_objective,
     run_backward,
 )
-from .datasets import LabeledPoints, gaussian_mixture, load_points, save_points, swiss_roll
+from .datasets import LabeledPoints, gaussian_mixture, swiss_roll
 from .errors import (
     DegenerateEnclosureError,
     EfsError,
@@ -33,6 +33,7 @@ from .forward import (
     run_forward,
 )
 from .metrics import UniformityReport, energy_trace, mmd_squared, nn_novelty, uniformity_report
+from .persist import load_points, save_points
 from .pipeline import (
     Enclosure,
     SampleBatch,

@@ -3,17 +3,19 @@
 Standard output carries machine-readable ``key=value`` lines; diagnostics go
 to standard error.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure, 4 I/O error.  Apart from ``--config`` the commands open
-no file themselves: point files go through :mod:`efs.datasets`, the
-trajectory, its energy csv, samples csvs and a replay's seed column through
-:mod:`efs.persist`, and the picture through :mod:`efs.svg`.  The options
-that need no data (such as ``efs forward --gamma``, ``--k``, ``--epsilon``
-and a numeric ``--s``, ``--beta``, ``--T``, ``--m``, ``--indices``, the
-dropped-option rules) exit 2 before any file is read, so a missing file
-cannot mask them; only ``--s d-2`` waits for the data's d.  A ``--config``
+no file themselves: point files, the trajectory, its energy csv, samples
+csvs and a replay's seed column go through :mod:`efs.persist`, which also
+owns the rule that a ``.csv`` or ``.efsb`` extension names the format, and
+the picture through :mod:`efs.svg`.  The options that need no data (such as
+``efs forward --gamma``, ``--k``, ``--epsilon`` and a numeric ``--s``,
+``--beta``, ``--T``, ``--m``, ``--indices``, the format of ``--out``,
+``--i``/``--j`` being distinct and >= 0, the dropped-option rules) exit 2
+before any file is read, so a missing file cannot mask them; only
+``--s d-2`` and ``--i``/``--j`` below n wait for the data.  A ``--config``
 file's keys are the long option names with ``_`` for ``-``
 (``snapshot_mode``); keys that name no single-value option of the
-subcommand are ignored, and values are parsed, checked against the
-option's choices and rejected like flags (exit 2).  An option that a run would drop exits 2 as a flag and is ignored
+subcommand are ignored, and values are parsed as flags (see
+:func:`parse_args`).  An option that a run would drop exits 2 as a flag and is ignored
 as a config key, so one file can serve every command: ``noise`` for a
 mixture and ``std`` for a Swiss roll (dataset); ``i`` and ``j`` outside
 ``--mode interp``, ``j`` without ``i``, ``replay`` and ``seed`` on an ``--i``
@@ -32,10 +34,11 @@ import numpy as np
 
 from . import persist, svg
 from .backward import BackwardConfig
-from .datasets import gaussian_mixture, load_points, save_points, swiss_roll
+from .datasets import gaussian_mixture, swiss_roll
 from .errors import DegenerateEnclosureError, FormatError, InstabilityError, SingularityError
-from .forward import ParticleSet, run_forward
+from .forward import run_forward
 from .metrics import check_mmd_params, energy_trace, mmd_squared, nn_novelty, uniformity_report
+from .persist import load_points, save_points
 from .pipeline import generate_from_trajectory, interpolation_path, invert_batch
 from .potential import PotentialParams
 
@@ -93,6 +96,16 @@ def _dropped(args, reason, *dests):
         raise ValueError(f"{'/'.join(flags)} {reason}")
 
 
+def _check_out(args, fmt):
+    """Reject an ``--out`` whose extension does not name the format ``fmt``."""
+    try:
+        ok = persist.point_format(args.out) == fmt
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"--out must be a .{fmt} file, got {args.out!r}")
+
+
 def cmd_dataset(args) -> int:
     if args.kind == "mixture":
         _dropped(args, "applies only to --kind swiss", "noise")
@@ -113,6 +126,7 @@ def cmd_forward(args) -> int:
         raise ValueError(f"--gamma must be finite and > 0, got {args.gamma}")
     if args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
+    _check_out(args, "efsb")
     # checks --epsilon, and --s unless it waits for the data's d
     dim_token = is_dimension_token(args.s)
     params = PotentialParams(s=0.0 if dim_token else float(args.s), epsilon=args.epsilon)
@@ -150,6 +164,12 @@ def cmd_sample(args) -> int:
             raise ValueError("--i needs --j: a path runs from particle i to particle j")
         if args.m is None or args.m < 2:
             raise ValueError("--i needs --m >= 2, the number of points on the path")
+        for flag, index in (("--i", args.i), ("--j", args.j)):
+            if index < 0:
+                raise ValueError(f"{flag} must be >= 0, got {index}")
+        if args.i == args.j:
+            raise ValueError(f"--i/--j must be distinct, got {args.i} and {args.j}")
+    _check_out(args, "csv")
     # checked before the trajectory is read; the inversions use its own gamma
     bwd = BackwardConfig(gamma=0.0, beta=args.beta, T=args.T)
     traj, labels = persist.read_trajectory(args.traj)
@@ -192,11 +212,7 @@ def cmd_metrics(args) -> int:
     # printed only once every requested report is computed
     lines = []
     if args.points:
-        if str(args.points).endswith(".efsb"):
-            points = ParticleSet(persist.read_efsb(args.points).snapshots[-1])
-        else:
-            points = load_points(args.points).points
-        report = uniformity_report(points)
+        report = uniformity_report(persist.load_final_points(args.points))
         lines.append(f"radial_ks={report.radial_ks:.17g}")
         if report.angular_ks is not None:
             lines.append(f"angular_ks={report.angular_ks:.17g}")
@@ -308,29 +324,24 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> argparse.Namespace:
     """Option precedence: explicit flag > --config file > built-in default.
 
-    The config file's values become defaults of the chosen subcommand, so
-    argparse types and rejects them as it does flags; their choices are
-    checked here, since argparse checks only a flag's.  ``args.from_config``
-    names the options whose value came from the file.
+    The command line is parsed alone first.  Under ``--config`` it is parsed
+    once more, with the file's keys as ``--option=value`` tokens between the
+    subcommand and the user's own arguments: a later flag wins, and a config
+    value meets its option's type and choices exactly as a flag does (exit 2
+    with the usage line).  ``args.from_config`` names the file's keys that no
+    flag set.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     from_config = set()
     if args.config:
-        config = load_config_file(args.config)
-        options = {a.dest for a in args.parser._actions if a.nargs is None}
-        config = {k: v for k, v in config.items() if k in options}
-        # a parse with the file's keys defaulting to a marker shows which of
-        # them no flag sets
-        marker = object()
-        args.parser.set_defaults(**dict.fromkeys(config, marker))
-        marked = parser.parse_args(argv)
-        from_config = {k for k in config if getattr(marked, k) is marker}
-        args.parser.set_defaults(**config)
-        args = parser.parse_args(argv)
-        for action in args.parser._actions:
-            if action.dest in from_config and action.choices is not None:
-                args.parser._check_value(action, getattr(args, action.dest))
+        flags = {a.dest: a.option_strings[0] for a in args.parser._actions if a.nargs is None}
+        config = {k: v for k, v in load_config_file(args.config).items() if k in flags}
+        from_config = {k for k in config if getattr(args, k) is None}
+        at = argv.index(args.command) + 1
+        tokens = [f"{flags[k]}={v}" for k, v in config.items()]
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
     args.from_config = from_config
     for key in REQUIRED.get(args.command, ()):
         if getattr(args, key) is None:
@@ -350,7 +361,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, IndexError, argparse.ArgumentError) as e:
+    except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,7 +1,8 @@
-"""Seeded synthetic datasets and point-cloud ingestion.
+"""Seeded synthetic datasets: a Gaussian mixture and a Swiss roll.
 
 All generators are pure functions of (parameters, seed); Gaussian draws use
 Box-Muller on the package RNG so outputs are identical across platforms.
+Point files are read and written by :mod:`efs.persist`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import persist
 from .forward import ParticleSet
 from .rng import SplitMix64
 
@@ -94,30 +94,3 @@ def swiss_roll(n: int, noise: float = 0.2, seed: int = 0) -> LabeledPoints:
     frac = (theta - SWISS_THETA_LO) / (SWISS_THETA_HI - SWISS_THETA_LO)
     labels = np.minimum((frac * 4).astype(np.int32), 3)
     return LabeledPoints(points=ParticleSet(pts), labels=labels)
-
-
-def save_points(lp: LabeledPoints, path):
-    """Write a labeled point cloud as csv or efsb, chosen by the extension."""
-    if _infer_format(path) == "csv":
-        persist.write_csv(path, lp.points.positions, labels=lp.labels)
-    else:
-        persist.write_efsb(path, [lp.points.positions], labels=lp.labels)
-
-
-def load_points(path) -> LabeledPoints:
-    """Read a csv or efsb point cloud; a samples csv's seed column is dropped."""
-    if _infer_format(path) == "csv":
-        points, labels, _seeds = persist.read_csv(path)
-    else:
-        blob = persist.read_efsb(path)
-        points, labels = blob.snapshots[0], blob.labels
-    return LabeledPoints(points=ParticleSet(points), labels=labels)
-
-
-def _infer_format(path) -> str:
-    name = str(path)
-    if name.endswith(".csv"):
-        return "csv"
-    if name.endswith(".efsb"):
-        return "efsb"
-    raise ValueError(f"cannot infer format from {name!r}; use a .csv or .efsb extension")

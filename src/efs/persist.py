@@ -1,6 +1,11 @@
 """File formats: csv point clouds, the efsb binary snapshot container, and
 the run files built on them.
 
+A point file's extension names its format, ``.csv`` or ``.efsb``
+(:func:`point_format`); :func:`save_points` and :func:`load_points` write and
+read a labeled point cloud in either, and :func:`load_final_points` reads the
+points a file ends at, an efsb trajectory's last snapshot.
+
 efsb layout (all little-endian):
 
     magic "EFSB" | u16 version=1 | u32 n | u32 d | u32 snapshot_count
@@ -31,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from .datasets import LabeledPoints
 from .errors import FormatError
 from .forward import ParticleSet, Trajectory
 from .potential import PotentialParams
@@ -183,6 +189,41 @@ def read_csv(path):
     column = None if tail is None else np.array(tails, dtype=_TAILS[tail][2])
     return (np.array(pts), column if tail == "label" else None,
             column if tail == "seed" else None)
+
+
+def point_format(path) -> str:
+    """The format a point file's extension names: ``"csv"`` or ``"efsb"``."""
+    name = str(path)
+    if name.endswith(".csv"):
+        return "csv"
+    if name.endswith(".efsb"):
+        return "efsb"
+    raise ValueError(f"cannot infer format from {name!r}; use a .csv or .efsb extension")
+
+
+def save_points(lp: LabeledPoints, path):
+    """Write a labeled point cloud as csv or efsb, chosen by the extension."""
+    if point_format(path) == "csv":
+        write_csv(path, lp.points.positions, labels=lp.labels)
+    else:
+        write_efsb(path, [lp.points.positions], labels=lp.labels)
+
+
+def load_points(path) -> LabeledPoints:
+    """Read a csv or efsb point cloud; a samples csv's seed column is dropped."""
+    if point_format(path) == "csv":
+        points, labels, _seeds = read_csv(path)
+    else:
+        blob = read_efsb(path)
+        points, labels = blob.snapshots[0], blob.labels
+    return LabeledPoints(points=ParticleSet(points), labels=labels)
+
+
+def load_final_points(path) -> ParticleSet:
+    """The points a file ends at: a csv's rows, or an efsb's last snapshot."""
+    if point_format(path) == "csv":
+        return load_points(path).points
+    return ParticleSet(read_efsb(path).snapshots[-1])
 
 
 def write_trajectory(path, traj: Trajectory, energies, labels=None):

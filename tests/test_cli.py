@@ -174,17 +174,23 @@ def test_config_values_meet_the_choices_of_their_flags(tmp_path, capsys, monkeyp
     out = tmp_path / "out.csv"
     cfg = tmp_path / "run.cfg"
     sample = ["sample", "--traj", str(trajectory_file), "--beta", "0.1", "--T", "50"]
-    for argv, key, value in ((sample, "mode", "interpolation"), (sample, "mode", "banana"),
-                             (sample, "snapshot_mode", "banana"),
-                             (["dataset", "--n", "10"], "kind", "banana")):
+    forward = ["forward", "--data", str(trajectory_file), "--gamma", "0.1", "--s", "1"]
+    for argv, key, value, error in ((sample, "mode", "interpolation", "invalid choice"),
+                                    (sample, "mode", "banana", "invalid choice"),
+                                    (sample, "snapshot_mode", "banana", "invalid choice"),
+                                    (["dataset", "--n", "10"], "kind", "banana",
+                                     "invalid choice"),
+                                    (forward, "k", "many", "invalid int value")):
         flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out), flag, value])
         assert exc.value.code == 2
         message = capsys.readouterr().err.splitlines()[-1].split(": error: ", 1)[1]
-        assert message.startswith(f"argument {flag}: invalid choice: '{value}'")
+        assert message.startswith(f"argument {flag}: {error}: '{value}'")
         cfg.write_text(f"{key} = {value}\n")
-        assert main(argv + ["--out", str(out), "--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out), "--config", str(cfg)])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: {message}" in captured.err
         assert not out.exists()
@@ -311,12 +317,12 @@ def test_dataset_swiss_rejects_std(tmp_path, capsys):
 
 
 def test_dataset_unknown_kind(tmp_path, capsys):
-    # argparse screens the flag, so smuggle the bad kind in via config file
+    # a config value meets the choices of its flag, through argparse
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kind = spiral\nn = 10\n")
-    code, _ = run(capsys, "dataset", "--config", str(cfg),
-                  "--out", str(tmp_path / "x.csv"))
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["dataset", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------- forward
@@ -816,8 +822,20 @@ def test_roundtrip_rejects_indices_below_one(capsys, monkeypatch, trajectory_fil
       "--epsilon", "-1", "--out", "t.efsb"], "epsilon"),
     (["sample", "--traj", "missing.efsb", "--beta", "0.1", "--T", "5", "--m", "0",
       "--out", "s.csv"], "--m"),
+    (["forward", "--data", "missing.efsb", "--gamma", "0.1", "--k", "3", "--s", "1",
+      "--out", "t.csv"], "--out"),
+    (["sample", "--traj", "missing.efsb", "--beta", "0.1", "--T", "5", "--out", "s.efsb"],
+     "--out"),
+    (["sample", "--traj", "missing.efsb", "--beta", "0.1", "--T", "5", "--out", "s.txt"],
+     "--out"),
+    (["sample", "--traj", "missing.efsb", "--mode", "interp", "--i", "1", "--j", "1",
+      "--m", "3", "--beta", "0.1", "--T", "5", "--out", "s.csv"], "--i/--j"),
+    (["sample", "--traj", "missing.efsb", "--mode", "interp", "--i", "-1", "--j", "2",
+      "--m", "3", "--beta", "0.1", "--T", "5", "--out", "s.csv"], "--i"),
 ], ids=["forward_gamma_nan", "sample_beta_nan", "sample_T_0", "roundtrip_beta_nan",
-        "roundtrip_T_0", "forward_k_0", "forward_epsilon_negative", "sample_m_0"])
+        "roundtrip_T_0", "forward_k_0", "forward_epsilon_negative", "sample_m_0",
+        "forward_out_csv", "sample_out_efsb", "sample_out_txt", "sample_i_equals_j",
+        "sample_i_negative"])
 def test_bad_options_exit_2_before_any_file_is_read(capsys, monkeypatch, argv, option):
     # a missing file would exit 4 and mask the bad option
     def read(path):

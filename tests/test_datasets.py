@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from efs import LabeledPoints, ParticleSet, gaussian_mixture, load_points, save_points, swiss_roll
+from efs import LabeledPoints, ParticleSet, gaussian_mixture, save_points, swiss_roll
 from efs.datasets import SWISS_THETA_HI, SWISS_THETA_LO
-from efs.persist import write_csv
 
 
 # ---------------------------------------------------------------- mixture
@@ -114,59 +113,9 @@ def test_generators_reject_counts_below_one(make, n):
         make(n)
 
 
-# ---------------------------------------------------------------- persistence
+# ---------------------------------------------------------------- labeled points
 
 def test_labeled_points_validation():
     ps = ParticleSet([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         LabeledPoints(points=ps, labels=[1, 2, 3])
-
-
-def test_save_load_efsb_bit_identical(tmp_path):
-    lp = gaussian_mixture(50, seed=6)
-    path = tmp_path / "mix.efsb"
-    save_points(lp, path)
-    back = load_points(path)
-    np.testing.assert_array_equal(back.points.positions, lp.points.positions)
-    np.testing.assert_array_equal(back.labels, lp.labels)
-
-
-def test_save_load_csv_bit_identical(tmp_path):
-    lp = swiss_roll(40, seed=7)
-    path = tmp_path / "roll.csv"
-    save_points(lp, path)
-    back = load_points(path)
-    # 17 significant digits round-trip IEEE doubles exactly through decimal
-    np.testing.assert_array_equal(back.points.positions, lp.points.positions)
-    np.testing.assert_array_equal(back.labels, lp.labels)
-
-
-def test_load_high_dimensional_latents(tmp_path):
-    # 15-dimensional latent workflow: n=15000 rows, d=15
-    rows = np.random.default_rng(0).normal(size=(15000, 15))
-    path = tmp_path / "latents.efsb"
-    save_points(LabeledPoints(points=ParticleSet(rows)), path)
-    back = load_points(path)
-    assert back.points.n == 15000
-    assert back.points.d == 15
-    np.testing.assert_array_equal(back.points.positions, rows)
-
-
-def test_format_inference(tmp_path):
-    lp = gaussian_mixture(5, seed=1)
-    with pytest.raises(ValueError, match=r"\.csv or \.efsb"):
-        save_points(lp, tmp_path / "data.bin")
-    assert not (tmp_path / "data.bin").exists()
-    save_points(lp, tmp_path / "data.efsb")
-    (tmp_path / "data.efsb").rename(tmp_path / "data.bin")
-    with pytest.raises(ValueError, match=r"\.csv or \.efsb"):
-        load_points(tmp_path / "data.bin")
-
-
-def test_load_samples_csv_drops_seed_column(tmp_path):
-    pts = np.array([[0.5, -1.0], [2.0, 3.0]])
-    path = tmp_path / "samples.csv"
-    write_csv(path, pts, seeds=[2**64 - 1, 7])
-    back = load_points(path)
-    np.testing.assert_array_equal(back.points.positions, pts)
-    assert back.labels is None

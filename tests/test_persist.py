@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from efs import FormatError, ParticleSet, PotentialParams, Trajectory
+from efs import (FormatError, LabeledPoints, ParticleSet, PotentialParams, Trajectory,
+                 gaussian_mixture, load_points, save_points, swiss_roll)
 from efs.persist import (read_csv, read_efsb, read_trajectory, write_csv, write_efsb,
                          write_trajectory)
 from efs.rng import SplitMix64
@@ -238,3 +239,54 @@ def test_trajectory_roundtrip_and_energy_csv(tmp_path):
     assert (tmp_path / "t.efsb.energy.csv").read_bytes() == (
         b"iteration,energy\n0,3\n1,2.5\n2,0.10000000000000001\n")
 
+
+# ---------------------------------------------------------------- point files
+
+def test_save_load_efsb_bit_identical(tmp_path):
+    lp = gaussian_mixture(50, seed=6)
+    path = tmp_path / "mix.efsb"
+    save_points(lp, path)
+    back = load_points(path)
+    np.testing.assert_array_equal(back.points.positions, lp.points.positions)
+    np.testing.assert_array_equal(back.labels, lp.labels)
+
+
+def test_save_load_csv_bit_identical(tmp_path):
+    lp = swiss_roll(40, seed=7)
+    path = tmp_path / "roll.csv"
+    save_points(lp, path)
+    back = load_points(path)
+    # 17 significant digits round-trip IEEE doubles exactly through decimal
+    np.testing.assert_array_equal(back.points.positions, lp.points.positions)
+    np.testing.assert_array_equal(back.labels, lp.labels)
+
+
+def test_load_high_dimensional_latents(tmp_path):
+    # 15-dimensional latent workflow: n=15000 rows, d=15
+    rows = np.random.default_rng(0).normal(size=(15000, 15))
+    path = tmp_path / "latents.efsb"
+    save_points(LabeledPoints(points=ParticleSet(rows)), path)
+    back = load_points(path)
+    assert back.points.n == 15000
+    assert back.points.d == 15
+    np.testing.assert_array_equal(back.points.positions, rows)
+
+
+def test_format_inference(tmp_path):
+    lp = gaussian_mixture(5, seed=1)
+    with pytest.raises(ValueError, match=r"\.csv or \.efsb"):
+        save_points(lp, tmp_path / "data.bin")
+    assert not (tmp_path / "data.bin").exists()
+    save_points(lp, tmp_path / "data.efsb")
+    (tmp_path / "data.efsb").rename(tmp_path / "data.bin")
+    with pytest.raises(ValueError, match=r"\.csv or \.efsb"):
+        load_points(tmp_path / "data.bin")
+
+
+def test_load_samples_csv_drops_seed_column(tmp_path):
+    pts = np.array([[0.5, -1.0], [2.0, 3.0]])
+    path = tmp_path / "samples.csv"
+    write_csv(path, pts, seeds=[2**64 - 1, 7])
+    back = load_points(path)
+    np.testing.assert_array_equal(back.points.positions, pts)
+    assert back.labels is None
