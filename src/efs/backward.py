@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InstabilityError, SingularityError
+from .errors import InstabilityError, SingularityError, check_bound
 from .forward import ParticleSet, Trajectory, pair_blocks
 from .potential import (PotentialParams, check_separation, gradient_coef,
                         pair_hessian_spectral_bound, pair_value)
@@ -84,15 +84,12 @@ class BackwardConfig:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        check_bound("gamma", self.gamma, 0, finite=True)
+        check_bound("beta", self.beta, 0, strict=True, finite=True)
         # range(T) in the inner loop needs an integer, not a float like 2.0
         if not (isinstance(self.T, numbers.Integral) and self.T >= 1):
             raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
-            raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
+        check_bound("grad_tol", self.grad_tol, 0, finite=True)
 
 
 @dataclass(frozen=True)

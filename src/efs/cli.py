@@ -33,9 +33,10 @@ import sys
 import numpy as np
 
 from . import persist, svg
-from .backward import BackwardConfig
+from .backward import SNAPSHOT_MODES, BackwardConfig
 from .datasets import gaussian_mixture, swiss_roll
-from .errors import DegenerateEnclosureError, FormatError, InstabilityError, SingularityError
+from .errors import (DegenerateEnclosureError, FormatError, InstabilityError, SingularityError,
+                     check_bound)
 from .forward import run_forward
 from .metrics import check_mmd_params, energy_trace, mmd_squared, nn_novelty, uniformity_report
 from .persist import load_points, save_points
@@ -122,10 +123,8 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    if not (np.isfinite(args.gamma) and args.gamma > 0):
-        raise ValueError(f"--gamma must be finite and > 0, got {args.gamma}")
-    if args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
+    check_bound("--gamma", args.gamma, 0, strict=True, finite=True)
+    check_bound("--k", args.k, 1)
     _check_out(args, "efsb")
     # checks --epsilon, and --s unless it waits for the data's d
     dim_token = is_dimension_token(args.s)
@@ -155,8 +154,8 @@ def cmd_sample(args) -> int:
     # with --i the run is a path, which takes no seed; without it, no --j
     if args.i is None:
         _dropped(args, "requires --i", "j")
-        if args.m is not None and args.m < 1 and not args.replay:
-            raise ValueError(f"--m must be >= 1, got {args.m}")
+        if args.m is not None and not args.replay:
+            check_bound("--m", args.m, 1)
     else:
         _dropped(args, "cannot be combined with --i: a path has no seeds to replay", "replay")
         _dropped(args, "cannot be combined with --i: a path draws no random numbers", "seed")
@@ -165,8 +164,7 @@ def cmd_sample(args) -> int:
         if args.m is None or args.m < 2:
             raise ValueError("--i needs --m >= 2, the number of points on the path")
         for flag, index in (("--i", args.i), ("--j", args.j)):
-            if index < 0:
-                raise ValueError(f"{flag} must be >= 0, got {index}")
+            check_bound(flag, index, 0)
         if args.i == args.j:
             raise ValueError(f"--i/--j must be distinct, got {args.i} and {args.j}")
     _check_out(args, "csv")
@@ -232,8 +230,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    if args.indices < 1:
-        raise ValueError(f"--indices must be >= 1, got {args.indices}")
+    check_bound("--indices", args.indices, 1)
     bwd = BackwardConfig(gamma=0.0, beta=args.beta, T=args.T)
     traj, _labels = persist.read_trajectory(args.traj)
     count = min(args.indices, traj.n)
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="number of draws (default 1) or of points on an --i path")
     p.add_argument("--beta", type=float)
     p.add_argument("--T", type=int)
-    p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="paper")
+    p.add_argument("--snapshot-mode", choices=SNAPSHOT_MODES, default="paper")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--replay",
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=300)
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--indices", type=int, default=10)
-    p.add_argument("--snapshot-mode", choices=["paper", "exact"], default="exact")
+    p.add_argument("--snapshot-mode", choices=SNAPSHOT_MODES, default="exact")
 
     return parser
 

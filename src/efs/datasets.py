@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import check_bound
 from .forward import ParticleSet
 from .rng import SplitMix64
 
@@ -47,8 +48,7 @@ def gaussian_mixture(n: int, means=None, stds=None, weights=None,
     weights; one std given as a number applies to every component.
     Consumes n component uniforms first, then n*d normals.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_bound("n", n, 1)
     if means is None:
         means = DEFAULT_MIXTURE_MEANS
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
@@ -83,10 +83,8 @@ def swiss_roll(n: int, noise: float = 0.2, seed: int = 0) -> LabeledPoints:
     Labels bucket theta into quartiles for coloring.  Consumes n theta
     uniforms first, then 2n normals.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (math.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    check_bound("n", n, 1)
+    check_bound("noise", noise, 0, finite=True)
     rng = SplitMix64(seed)
     theta = SWISS_THETA_LO + (SWISS_THETA_HI - SWISS_THETA_LO) * rng.uniforms(n)
     base = np.stack([theta * np.cos(theta), theta * np.sin(theta)], axis=1) / 3.0

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import InstabilityError, SingularityError, check_bound
 from .potential import (PotentialParams, check_separation, gradient_coef, pair_value,
                         shared_power)
 
@@ -269,11 +269,18 @@ def forward_gradient(ps: ParticleSet, p: PotentialParams) -> np.ndarray:
 
 
 def forward_step(ps: ParticleSet, gamma: float, p: PotentialParams) -> ParticleSet:
-    """One simultaneous gradient step; preserves the center of mass."""
-    if not (np.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    delta = forward_gradient(ps, p)
-    return ParticleSet(ps.positions - gamma * delta)
+    """One simultaneous gradient step; preserves the center of mass.
+
+    A step that leaves the finite range, in the new positions or in E_n of
+    ``ps`` summed on the way, raises :class:`InstabilityError`; numpy's
+    overflow warnings inside the step are silenced, as the error reports it.
+    """
+    check_bound("gamma", gamma, 0, finite=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = ps.positions - gamma * forward_gradient(ps, p)
+    if not (np.isfinite(x).all() and np.isfinite(interaction_energy(ps, p))):
+        raise InstabilityError(f"the step left the finite range (gamma={gamma}); reduce gamma")
+    return ParticleSet(x)
 
 
 def run_forward(ps0: ParticleSet, gamma: float, k: int, p: PotentialParams) -> Trajectory:
@@ -282,8 +289,7 @@ def run_forward(ps0: ParticleSet, gamma: float, k: int, p: PotentialParams) -> T
     Logs a warning when ``p.s`` lies outside [d - 2, d), where the cited
     limit-law theory (see :mod:`efs`) does not apply.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_bound("k", k, 1)
     d = ps0.d
     if not d - 2 <= p.s < d:
         logger.warning("s=%g is outside [d-2, d)=[%d, %d) where the cited limit-law theory "
@@ -292,6 +298,6 @@ def run_forward(ps0: ParticleSet, gamma: float, k: int, p: PotentialParams) -> T
     for j in range(k):
         try:
             snaps.append(forward_step(snaps[-1], gamma, p))
-        except SingularityError as e:
-            raise SingularityError(f"forward iteration {j}: {e}") from e
+        except (SingularityError, InstabilityError) as e:
+            raise type(e)(f"forward iteration {j}: {e}") from e
     return Trajectory(tuple(snaps), gamma=float(gamma), params=p)

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .backward import BackwardConfig, _warn_capped, _warn_convexity_guard, run_backward
-from .errors import DegenerateEnclosureError
+from .errors import DegenerateEnclosureError, check_bound
 from .forward import ParticleSet, Trajectory, run_forward
 from .potential import PotentialParams
 from .rng import SplitMix64, spawn_seed
@@ -139,8 +139,7 @@ def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: s
 
 
 def _check_request(m: int, mode: str = "sphere", seeds: Optional[list] = None) -> None:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_bound("m", m, 1)
     if mode not in AUGMENTATION_MODES:
         raise ValueError(f"mode must be one of {AUGMENTATION_MODES}, got {mode!r}")
     if seeds is not None and len(seeds) != m:
@@ -199,8 +198,7 @@ def interpolation_path(traj: Trajectory, i: int, j: int, steps: int,
     (endpoints included), so the first and last generated points recover the
     two training particles' initial positions up to inversion error.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    check_bound("steps", steps, 2)
     final = traj.snapshots[-1]
     starts = [interpolate_latent(final, i, j, t) for t in np.linspace(0.0, 1.0, steps)]
     return invert_batch(starts, traj, bwd, snapshot_mode, "interpolation")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import SingularityError, check_bound
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,8 @@ class PotentialParams:
     epsilon: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.s) and self.s >= 0):
-            raise ValueError(f"s must be finite and >= 0, got {self.s}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        check_bound("s", self.s, 0, finite=True)
+        check_bound("epsilon", self.epsilon, 0, finite=True)
 
 
 def _check_vector(z) -> np.ndarray:

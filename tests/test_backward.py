@@ -12,12 +12,15 @@ from efs import (
     PotentialParams,
     SingularityError,
     augmented_forward_map,
+    forward_gradient,
+    gaussian_mixture,
     invert_step,
     potential_gradient,
     potential_value,
     prox_objective,
     run_backward,
     run_forward,
+    swiss_roll,
 )
 from efs.backward import (DESCENT_C, MAX_HALVINGS, _prox_gradient, _Workspace,
                           mean_field_gradient)
@@ -502,3 +505,19 @@ def test_run_backward_exact_mode_recovers_augmented_chain():
     path = run_backward(chain[-1], traj, cfg, snapshot_mode="exact")
     for step, target in enumerate(reversed(chain)):
         assert np.linalg.norm(path.points[step] - target) <= 1e-8
+
+
+@pytest.mark.parametrize("ps, p", [
+    (gaussian_mixture(400, seed=0).points, PotentialParams(1.0, 1e-3)),
+    (swiss_roll(500, noise=0.2, seed=0).points, PotentialParams(0.0, 1e-3)),
+], ids=["reference_mixture", "reference_swiss_roll"])
+def test_exact_mode_averages_over_all_n_particles(ps, p):
+    # Exact mode's gradient is (1/n) sum_i grad W(v - x_i), the force an augmented
+    # point feels, so it undoes augmented_forward_map.  At a training particle x_i
+    # the self pair adds grad W(0) = 0, so n times it is (n - 1) times the forward
+    # force, whose average skips the self pair: the O(gamma / n) offset per step.
+    n = ps.n
+    forward = (n - 1) * forward_gradient(ps, p)
+    backward = np.array([n * mean_field_gradient(x, ps, p) for x in ps.positions])
+    rel = np.linalg.norm(backward - forward, axis=1) / np.linalg.norm(forward, axis=1)
+    assert rel.max() <= 1e-13

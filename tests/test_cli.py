@@ -403,6 +403,21 @@ def test_forward_singularity_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_forward_divergence_exit_code(tmp_path, capsys):
+    data, out = tmp_path / "d.efsb", tmp_path / "g.efsb"
+    assert main(["dataset", "--kind", "mixture", "--n", "60", "--seed", "1",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["forward", "--data", str(data), "--gamma", "1e3", "--k", "200", "--s", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("error: forward iteration 51: the step left the finite range "
+                            "(gamma=1000.0); reduce gamma\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["roundtrip", "--snapshot-mode", "paper", "--indices", "2", "--T", "20"],
     ["sample", "--mode", "interp", "--i", "0", "--j", "1", "--m", "2", "--beta", "0.1",
@@ -847,6 +862,34 @@ def test_bad_options_exit_2_before_any_file_is_read(capsys, monkeypatch, argv, o
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(rf"error: {option} must be", captured.err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["forward", "--data", "missing.efsb", "--gamma", "0", "--k", "3", "--s", "1",
+      "--out", "t.efsb"], "--gamma must be finite and > 0, got 0.0"),
+    (["forward", "--data", "missing.efsb", "--gamma", "inf", "--k", "3", "--s", "1",
+      "--out", "t.efsb"], "--gamma must be finite and > 0, got inf"),
+    (["forward", "--data", "missing.efsb", "--gamma", "0.1", "--k", "-4", "--s", "1",
+      "--out", "t.efsb"], "--k must be >= 1, got -4"),
+    (["sample", "--traj", "missing.efsb", "--beta", "0.1", "--T", "5", "--m", "0",
+      "--out", "s.csv"], "--m must be >= 1, got 0"),
+    (["sample", "--traj", "missing.efsb", "--mode", "interp", "--i", "-1", "--j", "2",
+      "--m", "3", "--beta", "0.1", "--T", "5", "--out", "s.csv"], "--i must be >= 0, got -1"),
+    (["sample", "--traj", "missing.efsb", "--mode", "interp", "--i", "1", "--j", "-2",
+      "--m", "3", "--beta", "0.1", "--T", "5", "--out", "s.csv"], "--j must be >= 0, got -2"),
+    (["roundtrip", "--traj", "missing.efsb", "--indices", "0"], "--indices must be >= 1, got 0"),
+], ids=["forward_gamma_0", "forward_gamma_inf", "forward_k_negative", "sample_m_0",
+        "sample_i_negative", "sample_j_negative", "roundtrip_indices_0"])
+def test_bound_options_exit_2_with_their_full_message(capsys, monkeypatch, argv, message):
+    def read(path):
+        raise AssertionError(f"{path} was read before the options were checked")
+
+    monkeypatch.setattr(efs.persist, "read_efsb", read)
+    monkeypatch.setattr(efs.cli, "load_points", read)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["sample", "roundtrip"])

@@ -1,7 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from efs import (
+    InstabilityError,
     ParticleSet,
     PotentialParams,
     SingularityError,
@@ -9,6 +13,7 @@ from efs import (
     energy_trace,
     forward_gradient,
     forward_step,
+    gaussian_mixture,
     interaction_energy,
     run_forward,
 )
@@ -238,6 +243,25 @@ def test_run_forward_singularity_names_iteration():
     gamma = 2.0 / 3.5
     with pytest.raises(SingularityError, match="iteration 1"):
         run_forward(ps, gamma, 3, S1)
+
+
+@pytest.mark.parametrize("ps, gamma", [(pair(4.0), 1e308), (pair(1e200), 0.1)],
+                         ids=["positions_overflow", "energy_overflow"])
+def test_step_that_leaves_the_finite_range_raises_without_a_warning(ps, gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"the step left the finite range (gamma={gamma}); reduce gamma"
+        with pytest.raises(InstabilityError, match=f"^{re.escape(message)}$"):
+            forward_step(ps, gamma, S1)
+
+
+def test_run_forward_divergence_names_iteration():
+    # at gamma = 1e3 the attraction overshoots by ~1e3 per step until it overflows
+    ps = gaussian_mixture(60, seed=1).points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match=r"^forward iteration 51: the step left "):
+            run_forward(ps, 1e3, 200, PotentialParams(1.0, 1e-3))
 
 
 def test_equivariance_translation():
