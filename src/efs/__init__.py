@@ -27,12 +27,13 @@ from .errors import (
 from .forward import (
     ParticleSet,
     Trajectory,
+    energy_trace,
     forward_gradient,
     forward_step,
     interaction_energy,
     run_forward,
 )
-from .metrics import UniformityReport, energy_trace, mmd_squared, nn_novelty, uniformity_report
+from .metrics import UniformityReport, mmd_squared, nn_novelty, uniformity_report
 from .persist import load_points, save_points
 from .pipeline import (
     Enclosure,

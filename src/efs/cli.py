@@ -2,7 +2,9 @@
 
 Standard output carries machine-readable ``key=value`` lines; diagnostics go
 to standard error.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 I/O error.  Apart from ``--config`` the commands open
+3 numerical failure, 4 I/O error.  ``efs forward`` holds no numeric verdict:
+it prints and stores the energies that :func:`efs.forward.run_forward`
+computed, checked and judged.  Apart from ``--config`` the commands open
 no file themselves: point files, the trajectory, its energy csv, samples
 csvs and a replay's seed column go through :mod:`efs.persist`, which also
 owns the rule that a ``.csv`` or ``.efsb`` extension names the format, and
@@ -37,13 +39,11 @@ from .backward import SNAPSHOT_MODES, BackwardConfig
 from .datasets import gaussian_mixture, swiss_roll
 from .errors import (DegenerateEnclosureError, FormatError, InstabilityError, SingularityError,
                      check_bound)
-from .forward import run_forward
-from .metrics import check_mmd_params, energy_trace, mmd_squared, nn_novelty, uniformity_report
+from .forward import energy_trace, run_forward
+from .metrics import check_mmd_params, mmd_squared, nn_novelty, uniformity_report
 from .persist import load_points, save_points
 from .pipeline import generate_from_trajectory, interpolation_path, invert_batch
 from .potential import PotentialParams
-
-logger = logging.getLogger(__name__)
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -135,9 +135,6 @@ def cmd_forward(args) -> int:
     traj = run_forward(lp.points, args.gamma, args.k, params)
     energies = energy_trace(traj)
     persist.write_trajectory(args.out, traj, energies, labels=lp.labels)
-    if energies[-1] >= energies[0]:
-        logger.warning("energy did not decrease over the run (%g -> %g)",
-                       energies[0], energies[-1])
     print(f"n={traj.n}")
     print(f"d={traj.d}")
     print(f"k={traj.k}")

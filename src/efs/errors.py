@@ -2,8 +2,9 @@
 
 :func:`check_bound` is how every numeric lower bound of the package (the
 forward step, the horizon, the potential's exponent and regularizer, the
-inner step, the batch size, the CLI's counts) is tested and phrased; rules
-that are not a plain bound keep their own code.
+inner step, the batch size, a draw's integer bound, the enclosure radius,
+the CLI's counts) is tested and phrased; rules that are not a plain bound
+keep their own code.
 """
 
 import math

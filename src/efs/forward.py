@@ -21,10 +21,14 @@ how the rows are cut into blocks.  For s > 0 each pair takes one power,
 q^(s/2), from which both the pair value and the force coefficient are
 computed (see :mod:`efs.potential`).
 
-The energy E_n is computed from the same pair blocks as the forces:
-:func:`forward_gradient` also sums the pair values and caches E_n on the
-particle set, per :class:`PotentialParams`, so :func:`interaction_energy` of a
-set that has already taken a forward step builds no pair blocks again.
+This module owns a run's energies.  E_n is computed from the same pair
+blocks as the forces: :func:`forward_gradient` also sums the pair values and
+caches E_n on the particle set, per :class:`PotentialParams`, so
+:func:`interaction_energy` of a set that has already taken a forward step
+builds no pair blocks again.  :func:`run_forward` computes the final
+snapshot's E_n, checks every snapshot's energy for finiteness under one rule
+and warns when the energy did not fall; :func:`energy_trace` reads the
+cached values back.
 """
 
 from __future__ import annotations
@@ -268,6 +272,13 @@ def forward_gradient(ps: ParticleSet, p: PotentialParams) -> np.ndarray:
     return out
 
 
+def _check_finite(gamma: float, *values) -> None:
+    """The finiteness rule of a forward run: raise :class:`InstabilityError`
+    unless every value (positions or an energy) is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise InstabilityError(f"the step left the finite range (gamma={gamma}); reduce gamma")
+
+
 def forward_step(ps: ParticleSet, gamma: float, p: PotentialParams) -> ParticleSet:
     """One simultaneous gradient step; preserves the center of mass.
 
@@ -278,16 +289,21 @@ def forward_step(ps: ParticleSet, gamma: float, p: PotentialParams) -> ParticleS
     check_bound("gamma", gamma, 0, finite=True)
     with np.errstate(over="ignore", invalid="ignore"):
         x = ps.positions - gamma * forward_gradient(ps, p)
-    if not (np.isfinite(x).all() and np.isfinite(interaction_energy(ps, p))):
-        raise InstabilityError(f"the step left the finite range (gamma={gamma}); reduce gamma")
+    _check_finite(gamma, x, interaction_energy(ps, p))
     return ParticleSet(x)
 
 
 def run_forward(ps0: ParticleSet, gamma: float, k: int, p: PotentialParams) -> Trajectory:
     """Run k forward steps, recording every snapshot (k + 1 in total).
 
-    Logs a warning when ``p.s`` lies outside [d - 2, d), where the cited
-    limit-law theory (see :mod:`efs`) does not apply.
+    Each step computes E_n of the snapshot it leaves; after the last step the
+    final snapshot's E_n is computed too, so every snapshot's energy is cached
+    and checked by the step's finiteness rule.  A failure is prefixed
+    ``forward iteration j:``, j being the snapshot whose step or energy left
+    the finite range (k for the final snapshot's energy).  Logs a warning when
+    the energy did not decrease over the run, and one when ``p.s`` lies
+    outside [d - 2, d), where the cited limit-law theory (see :mod:`efs`)
+    does not apply.
     """
     check_bound("k", k, 1)
     d = ps0.d
@@ -295,9 +311,25 @@ def run_forward(ps0: ParticleSet, gamma: float, k: int, p: PotentialParams) -> T
         logger.warning("s=%g is outside [d-2, d)=[%d, %d) where the cited limit-law theory "
                        "applies", p.s, d - 2, d)
     snaps = [ps0]
-    for j in range(k):
-        try:
+    try:
+        for _ in range(k):
             snaps.append(forward_step(snaps[-1], gamma, p))
-        except (SingularityError, InstabilityError) as e:
-            raise type(e)(f"forward iteration {j}: {e}") from e
+        with np.errstate(over="ignore", invalid="ignore"):
+            final = interaction_energy(snaps[-1], p)
+        _check_finite(gamma, final)
+    except (SingularityError, InstabilityError) as e:
+        raise type(e)(f"forward iteration {len(snaps) - 1}: {e}") from e
+    first = interaction_energy(ps0, p)
+    if final >= first:
+        logger.warning("energy did not decrease over the run (%g -> %g)", first, final)
     return Trajectory(tuple(snaps), gamma=float(gamma), params=p)
+
+
+def energy_trace(traj: Trajectory):
+    """Interaction energy per snapshot (length k + 1).
+
+    On a trajectory from :func:`run_forward` every snapshot carries its
+    cached energy, so no pair blocks are built here; the values are
+    bit-identical to recomputing each one.
+    """
+    return [interaction_energy(s, traj.params) for s in traj.snapshots]

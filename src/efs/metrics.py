@@ -1,5 +1,8 @@
 """Evaluation metrics: Riesz-kernel MMD, uniformity tests, novelty statistics.
 
+The metrics judge point sets; a forward run's energies, their trace and the
+verdict on them belong to :mod:`efs.forward`.
+
 The MMD and the nearest-neighbor distances read the squared distances
 between two point sets from the forward pass's pair-block generator,
 :func:`efs.forward.pair_blocks`, so their memory is one block's whatever the
@@ -30,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forward import ParticleSet, Trajectory, interaction_energy, pair_blocks
+from .forward import ParticleSet, pair_blocks
 from .pipeline import Enclosure, estimate_enclosure
 from .potential import PotentialParams, repulsion
 
@@ -144,13 +147,3 @@ def nn_novelty(generated: ParticleSet, training: ParticleSet):
     self_dist = _nn_distances(training.positions, training.positions, skip_self=True)
     return float(dist.min()), float(dist.mean()), float(self_dist.mean())
 
-
-def energy_trace(traj: Trajectory):
-    """Interaction energy per snapshot (length k + 1).
-
-    On a trajectory from :func:`run_forward`, snapshots 0..k-1 carry the
-    energy their forward step cached, so only the final snapshot's pair
-    blocks are built here; the values are bit-identical to recomputing each
-    one.
-    """
-    return [interaction_energy(s, traj.params) for s in traj.snapshots]

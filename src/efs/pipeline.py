@@ -43,8 +43,7 @@ class Enclosure:
     radius: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        check_bound("radius", self.radius, 0, strict=True, finite=True)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import check_bound
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
@@ -70,6 +72,5 @@ class SplitMix64:
 
     def integer(self, bound: int) -> int:
         """A uniform integer in ``[0, bound)``."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        check_bound("bound", bound, 0, strict=True)
         return min(int(self.uniform() * bound), bound - 1)

@@ -7,10 +7,12 @@ value included.
 
 import re
 
+import numpy as np
 import pytest
 
-from efs import (BackwardConfig, ParticleSet, PotentialParams, efs_generate, gaussian_mixture,
-                 generate_from_trajectory, interpolation_path, run_forward, swiss_roll)
+from efs import (BackwardConfig, Enclosure, ParticleSet, PotentialParams, SplitMix64,
+                 efs_generate, gaussian_mixture, generate_from_trajectory, interpolation_path,
+                 run_forward, swiss_roll)
 from efs.forward import forward_step
 
 P = PotentialParams(1.0, 1e-3)
@@ -51,6 +53,9 @@ CASES = {
                             "m must be >= 1, got -1"),
     "path_steps_one": (lambda: interpolation_path(small_trajectory(), 0, 1, 1, BWD),
                        "steps must be >= 2, got 1"),
+    "rng_integer_bound_zero": (lambda: SplitMix64(1).integer(0), "bound must be > 0, got 0"),
+    "enclosure_radius_nan": (lambda: Enclosure(center=np.zeros(2), radius=float("nan")),
+                             "radius must be finite and > 0, got nan"),
 }
 
 

@@ -408,14 +408,31 @@ def test_forward_divergence_exit_code(tmp_path, capsys):
     assert main(["dataset", "--kind", "mixture", "--n", "60", "--seed", "1",
                  "--out", str(data)]) == 0
     capsys.readouterr()
-    code = main(["forward", "--data", str(data), "--gamma", "1e3", "--k", "200", "--s", "1",
-                 "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == ("error: forward iteration 51: the step left the finite range "
-                            "(gamma=1000.0); reduce gamma\n")
-    assert not out.exists()
+    # at k = 51 the last step is finite and only the final snapshot's energy overflows
+    for k in ("51", "200"):
+        code = main(["forward", "--data", str(data), "--gamma", "1e3", "--k", k, "--s", "1",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: forward iteration 51: the step left the finite range "
+                                "(gamma=1000.0); reduce gamma\n")
+        assert not out.exists()
+        assert not Path(str(out) + ".energy.csv").exists()
+
+
+def test_forward_logs_the_energy_verdict_once_from_the_forward_run(tmp_path, capsys, caplog):
+    # two particles at distance 1 sit at the equilibrium of W at s = 1, where E_n = 1.5
+    data = tmp_path / "pair.csv"
+    write_csv(data, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    with caplog.at_level(logging.WARNING, logger="efs"):
+        code, out = run(capsys, "forward", "--data", str(data), "--s", "1", "--epsilon", "0",
+                        "--gamma", "0.1", "--k", "2", "--out", str(tmp_path / "t.efsb"))
+    assert code == 0
+    assert out["energy_initial"] == out["energy_final"] == "1.5"
+    verdicts = [r for r in caplog.records if "energy did not decrease" in r.message]
+    assert [(r.name, r.message) for r in verdicts] == [
+        ("efs.forward", "energy did not decrease over the run (1.5 -> 1.5)")]
 
 
 @pytest.mark.parametrize("argv", [

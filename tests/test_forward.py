@@ -1,3 +1,4 @@
+import logging
 import re
 import warnings
 
@@ -11,6 +12,7 @@ from efs import (
     SingularityError,
     Trajectory,
     energy_trace,
+    forward,
     forward_gradient,
     forward_step,
     gaussian_mixture,
@@ -256,12 +258,14 @@ def test_step_that_leaves_the_finite_range_raises_without_a_warning(ps, gamma):
 
 
 def test_run_forward_divergence_names_iteration():
-    # at gamma = 1e3 the attraction overshoots by ~1e3 per step until it overflows
+    # at gamma = 1e3 the attraction overshoots by ~1e3 per step until it overflows;
+    # at k = 51 only the final snapshot's energy leaves the finite range
     ps = gaussian_mixture(60, seed=1).points
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InstabilityError, match=r"^forward iteration 51: the step left "):
-            run_forward(ps, 1e3, 200, PotentialParams(1.0, 1e-3))
+    for k in (51, 200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=r"^forward iteration 51: the step left "):
+                run_forward(ps, 1e3, k, PotentialParams(1.0, 1e-3))
 
 
 def test_equivariance_translation():
@@ -340,6 +344,29 @@ def test_fused_energy_trace_matches_recomputation(s):
     traj = run_forward(random_set(140, 2, seed=40, scale=2.0), 0.05, 3, p)
     fresh = [interaction_energy(ParticleSet(snap.positions), p) for snap in traj.snapshots]
     np.testing.assert_array_equal(energy_trace(traj), fresh)
+
+
+def test_run_forward_makes_k_force_passes_and_one_energy_pass(monkeypatch):
+    calls = []
+    pair_pass = forward._self_pair_pass
+
+    def counted(ps, p, forces=None):
+        calls.append("force" if forces is not None else "energy")
+        return pair_pass(ps, p, forces)
+
+    monkeypatch.setattr(forward, "_self_pair_pass", counted)
+    traj = run_forward(random_set(30, 2, seed=3), 0.05, 3, PotentialParams(1.0, 1e-3))
+    assert calls == ["force"] * 3 + ["energy"]
+    energy_trace(traj)
+    assert len(calls) == 4
+
+
+def test_run_forward_logs_the_energy_verdict_once(caplog):
+    # at gamma = 0 no particle moves, so the energy cannot fall
+    with caplog.at_level(logging.WARNING, logger="efs"):
+        run_forward(random_set(10, 2, seed=8), 0.0, 4, PotentialParams(1.0, 0.01))
+    verdicts = [r for r in caplog.records if "energy did not decrease" in r.message]
+    assert len(verdicts) == 1 and verdicts[0].name == "efs.forward"
 
 
 def test_energy_cache_keyed_by_params():

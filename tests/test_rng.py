@@ -38,7 +38,7 @@ def test_raw_stream_continues_counter():
 
 
 def test_integer_needs_a_positive_bound():
-    with pytest.raises(ValueError, match="bound must be positive"):
+    with pytest.raises(ValueError, match=r"^bound must be > 0, got 0$"):
         SplitMix64(1).integer(0)
 
 
