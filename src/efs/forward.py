@@ -17,12 +17,14 @@ is odd (grad W(-z) = -grad W(z)): each pair a < b is evaluated once and
 its term goes to both particles.  Row a's share is one reduction of the
 slice of pairs (a, a+1..n-1), and column b's share is subtracted row by row
 in order from a running total, so the forces are bit for bit independent of
-how the rows are cut into blocks.  For s > 0 each pair takes one power,
-q^(s/2), from which both the pair value and the force coefficient are
-computed (see :mod:`efs.potential`).
+how the rows are cut into blocks.  A pair is evaluated for W's repulsion
+only, its value and its coefficient r with grad W(z) = (1 - r) * z; for
+s > 0 it takes one power, q^(s/2), a square root at s = 1.  W's attraction
+is added once per pass, from the exact centred closed forms of its pair sums
+(see :mod:`efs.potential`).
 
 This module owns a run's energies.  E_n is computed from the same pair
-blocks as the forces: :func:`forward_gradient` also sums the pair values and
+blocks as the forces: :func:`forward_gradient` also sums the repulsion and
 caches E_n on the particle set, per :class:`PotentialParams`, so
 :func:`interaction_energy` of a set that has already taken a forward step
 builds no pair blocks again.  :func:`run_forward` computes the final
@@ -40,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InstabilityError, SingularityError, check_bound
-from .potential import (PotentialParams, check_separation, gradient_coef, pair_value,
-                        shared_power)
+from .potential import (PotentialParams, attraction_sums, check_separation, repulsion,
+                        repulsion_coef, shared_power)
 
 logger = logging.getLogger(__name__)
 
@@ -197,29 +199,36 @@ def _upper_layout(rows: int, width: int):
 def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
     """E_n of ``ps`` from the blocks of ``pair_blocks(x)``, cached on ``ps``.
 
-    Each pair a < b is evaluated once.  With ``forces`` (n x d), the
-    unnormalized forces are written there: the pair term P = coef * (x_a - x_b)
-    goes to row a with a plus sign and to row b with a minus sign.  Row a's
-    plus terms are one reduction of the slice ``P[a, a + 1:]`` of its block;
-    row b's minus terms are subtracted one row at a time, in row order, from a
-    running total.  Neither depends on how the rows are cut into blocks, so
-    neither do the forces.  The energy is twice the sum of each row's pair
-    values, reduced the same way.
+    Each pair a < b is evaluated once, and only for W's repulsion: its value
+    ``rep`` and its coefficient r, with grad W(z) = (1 - r) * z (see
+    :mod:`efs.potential`).  W's attraction is added once per pass, in the
+    centred closed form of :func:`attraction_sums`, so with m the mean
+    position the energy is (n * sum_a ||x_a - m||^2 + 2 * sum_{a<b} rep_ab) /
+    (n (n - 1)) and the unnormalized force on a is
+    n * (x_a - m) - sum_{b != a} r_ab (x_a - x_b).
+
+    With ``forces`` (n x d), the unnormalized forces are written there: the
+    pair term P = r * (x_a - x_b) goes to row a with a plus sign and to row b
+    with a minus sign, and the attraction's share minus both is the force.
+    Row a's plus terms are one reduction of the slice ``P[a, a + 1:]`` of its
+    block; row b's minus terms are subtracted one row at a time, in row
+    order, from a running total.  Neither depends on how the rows are cut into
+    blocks, so neither do the forces.  The repulsion's share of the energy is
+    twice the sum of each row's values, reduced the same way.
 
     ``q`` is the regularized squared distance with the masked entries (see
-    :func:`pair_blocks`) set to 1, so the potential and its coefficient are
-    finite there and the coefficient is 0.  Coincident distinct pairs with
-    eps=0 raise.  For s > 0 the power ``u = q^(s/2)`` is taken once per pair
-    and handed to both :func:`pair_value` and :func:`gradient_coef`, so the
-    energy is the same with or without ``forces``.  Besides the generator's, a
-    block uses three buffers, for ``q``, ``u`` (left untouched at s = 0) and
-    the pair values: the coefficient overwrites ``q`` once the pair values are
-    summed, and the pair terms overwrite the pair values.
+    :func:`pair_blocks`) set to 1, so the repulsion is finite there; r is set
+    to 0 there, as the running total sums every row of the block.  Coincident
+    distinct pairs with eps=0 raise.  For s > 0 each pair takes one power,
+    ``u = q^(s/2)`` (a square root at s = 1), and the energy is the same with
+    or without ``forces``.  Besides the generator's, a block uses two
+    buffers: one for ``q``, which r overwrites once the repulsion is summed,
+    and one for ``u``, which the repulsion and then the pair terms overwrite.
     """
     x = ps.positions
     n, d = x.shape
     size = _block_capacity(n, n)
-    qbuf, ubuf, pbuf = np.empty(size), np.empty(size), np.empty(size + n)
+    qbuf, wbuf = np.empty(size), np.empty(size + n)
     row_energy = np.empty(n - 1)
     plus, minus = np.zeros((n, d)), np.zeros((d, n))
     for i0, i1, t, sq in pair_blocks(x):
@@ -228,21 +237,24 @@ def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
         q = np.add(sq, p.epsilon, out=qbuf[:sq.size].reshape(sq.shape))
         np.copyto(q[:, :rows], 1.0, where=lower)
         check_separation(q, p.epsilon)
-        u = shared_power(q, p.s, out=ubuf[:sq.size].reshape(sq.shape))
-        w = pair_value(sq, q, p.s, out=pbuf[:sq.size].reshape(sq.shape), u=u)
-        row_energy[i0:i1] = np.add.reduceat(w.ravel(), cuts)[::2]
+        w = wbuf[:sq.size].reshape(sq.shape)
+        rep = repulsion(q, p.s, out=w, u=shared_power(q, p.s, out=w))
+        row_energy[i0:i1] = np.add.reduceat(rep.ravel(), cuts)[::2]
         if forces is not None:
-            coef = gradient_coef(q, p.s, out=q, u=u)
+            r = repulsion_coef(q, p.s, rep, out=q)
+            np.copyto(r[:, :rows], 0.0, where=lower)
             # row 0 carries the running total of the columns' minus terms
-            pair = pbuf[:sq.size + width].reshape(rows + 1, width)
+            pair = wbuf[:sq.size + width].reshape(rows + 1, width)
             for k, tk in enumerate(t):
                 pair[0] = minus[k, i0:]
-                np.multiply(coef, tk, out=pair[1:])
+                np.multiply(r, tk, out=pair[1:])
                 plus[i0:i1, k] = np.add.reduceat(pair[1:].ravel(), cuts)[::2]
                 np.subtract.reduce(pair, axis=0, out=minus[k, i0:])
+    pull_energy, pull = attraction_sums(x)
     if forces is not None:
         np.add(plus, minus.T, out=forces)
-    ps._energy[p] = 2.0 * float(row_energy.sum()) / (n * (n - 1))
+        np.subtract(pull, forces, out=forces)
+    ps._energy[p] = 2.0 * (pull_energy + float(row_energy.sum())) / (n * (n - 1))
     return ps._energy[p]
 
 

@@ -30,6 +30,7 @@ the run's gamma, s and epsilon, written beside ``<path>.energy.csv``, the
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -148,6 +149,18 @@ def write_csv(path, points, labels=None, seeds=None):
 # Range and dtype of each trailing column; seeds are parsed as exact Python ints.
 _TAILS = {"label": (-2**31, 2**31, np.int32), "seed": (0, 2**64, np.uint64)}
 
+# The ASCII decimal numerals a csv cell may hold.  Python's float and int also
+# read underscores ("1_0"), other scripts' digits and spaces, so a cell is
+# matched before it is converted.
+_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _numeral(cell: str, pattern, convert):
+    if not pattern.fullmatch(cell):
+        raise ValueError(f"{cell!r} is not an ASCII decimal numeral")
+    return convert(cell)
+
 
 def read_csv(path):
     """Returns (points, labels-or-None, seeds-or-None).  Malformed rows name their line."""
@@ -171,9 +184,9 @@ def read_csv(path):
         if len(cells) != len(cols):
             raise FormatError(f"{path}: line {lineno}: expected {len(cols)} cells, got {len(cells)}")
         try:
-            vals = [float(c) for c in cells[:d]]
+            vals = [_numeral(c, _FLOAT, float) for c in cells[:d]]
             if tail is not None:
-                tails.append(int(cells[-1]))
+                tails.append(_numeral(cells[-1], _INT, int))
         except ValueError as e:
             raise FormatError(f"{path}: line {lineno}: {e}") from e
         if not all(np.isfinite(v) for v in vals):

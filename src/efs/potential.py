@@ -8,20 +8,26 @@ inverse-power repulsion:
 
 The gradient has the single closed form
 
-    grad W(z) = z * (1 - 1 / (q * q^(s/2))),    q = ||z||^2 + eps,
+    grad W(z) = z * (1 - r),    r = 1 / (q * q^(s/2)),    q = ||z||^2 + eps,
 
 valid for every s >= 0, including the logarithmic branch (q^0 = 1).  The
-elementwise functions :func:`repulsion`, :func:`pair_value` and
-:func:`gradient_coef` take the regularized squared distance ``q`` and are the
-one place W is written; the array code in forward, backward and metrics calls
-them on whole blocks of ``q``, and the forward pass has them write into
-buffers it reuses from block to block.  For s > 0 the repulsion and the
-gradient coefficient share one power per pair, ``u = q^(s/2)``
-(:func:`shared_power`): the forward pass computes it once and hands it to
-both.  W is undefined only at zero separation with
-eps = 0; every evaluation, here, in the forward pass and in the backward
-gradient and objective, passes its ``q`` to :func:`check_separation`, the one
-check for that case.  All functions here are pure and stateless.
+elementwise functions :func:`repulsion`, :func:`pair_value`,
+:func:`gradient_coef` and :func:`repulsion_coef` take the regularized squared
+distance ``q`` and, with :func:`attraction_sums`, are the one place W is
+written; the array code in forward, backward and metrics calls them on whole
+blocks of ``q``, and the forward pass has them write into buffers it reuses
+from block to block.
+
+The attraction's pair sums over a point set have exact closed forms, so the
+forward pass evaluates only the repulsion per pair: :func:`repulsion` and,
+from its value, the repulsion coefficient r (:func:`repulsion_coef`); it adds
+the attraction once per pass from :func:`attraction_sums`.  For s > 0 the
+repulsion takes one power per pair, ``u = q^(s/2)`` (:func:`shared_power`, a
+square root at s = 1).  The backward's gradient keeps the coefficient 1 - r
+(:func:`gradient_coef`).  W is undefined only at zero separation with eps = 0;
+every evaluation, here, in the forward pass and in the backward gradient and
+objective, passes its ``q`` to :func:`check_separation`, the one check for
+that case.  All functions here are pure and stateless.
 """
 
 from __future__ import annotations
@@ -60,17 +66,19 @@ def _check_vector(z) -> np.ndarray:
 
 
 def shared_power(q, s: float, out=None):
-    """``u = q^(s/2)``, the power the repulsion and ∇W's coefficient share.
+    """``u = q^(s/2)``, the power W's repulsion and ∇W's coefficient take.
 
     ``None`` for s = 0, where neither takes a power.  With ``out``, the result
-    is written there by an in-place ``**=``, which takes the fast paths ``**``
-    takes (a square root for s = 1), so both forms give the same bits; ``out``
-    may be ``q``.
+    is written there: a square root at s = 1, the path ``**`` takes there, and
+    otherwise an in-place ``**=``, which takes the fast paths ``**`` takes, so
+    both forms give the same bits; ``out`` may be ``q``.
     """
     if s == 0:
         return None
     if out is None:
         return q ** (s / 2.0)
+    if s == 1:
+        return np.sqrt(q, out=out)
     if out is not q:
         np.copyto(out, q)
     out **= s / 2.0
@@ -81,39 +89,64 @@ def repulsion(q, s: float, out=None, u=None):
     """Repulsive part of W at regularized squared distance ``q``.
 
     ``-log(q) / 2`` for s = 0, otherwise ``1 / (s * u)`` with ``u =
-    q^(s/2)``; for s > 0 it is also the MMD kernel.  Elementwise on arrays;
-    ``out``, when given, is an array of ``q``'s shape that receives the
-    result.  ``u``, when given, is :func:`shared_power`'s value for ``q``
-    and may be ``out``.
+    q^(s/2)`` (``1 / u`` at s = 1); for s > 0 it is also the MMD kernel.
+    Elementwise on arrays; ``out``, when given, is an array of ``q``'s shape
+    that receives the result.  ``u``, when given, is :func:`shared_power`'s
+    value for ``q`` and may be ``out``.
     """
     if s == 0:
         return np.multiply(np.log(q, out=out), -0.5, out=out)
     if u is None:
         u = shared_power(q, s, out)
-    return np.divide(1.0, np.multiply(u, s, out=out), out=out)
+    if s != 1:
+        u = np.multiply(u, s, out=out)
+    return np.divide(1.0, u, out=out)
 
 
-def pair_value(sq, q, s: float, out=None, u=None):
-    """W from the squared distance ``sq`` and its regularization ``q``.
+def repulsion_coef(q, s: float, rep, out=None):
+    """The scalar r with grad W(z) = (1 - r) * z, at ``q = ||z||^2 + eps``.
 
-    With ``out`` (not ``sq``), the result is written there; ``u`` is as in
-    :func:`repulsion`.
+    Taken from ``rep``, :func:`repulsion`'s value at ``q``: ``s * rep / q``
+    for s > 0 (``rep / q`` at s = 1), which is ``1 / (q * q^(s/2))`` up to
+    rounding, and ``1 / q`` at s = 0.  With ``out``, the result is written
+    there; ``out`` may be ``q``.
     """
-    return np.add(repulsion(q, s, out, u), 0.5 * sq, out=out)
+    if s == 0:
+        return np.divide(1.0, q, out=out)
+    r = np.divide(rep, q, out=out)
+    return r if s == 1 else np.multiply(r, s, out=out)
 
 
-def gradient_coef(q, s: float, out=None, u=None):
-    """The scalar c with grad W(z) = c * z, at ``q = ||z||^2 + eps``.
+def attraction_sums(x):
+    """W's attraction ``||z||^2 / 2`` summed over the pairs of ``x``'s rows.
 
-    ``c = 1 - 1 / (q * u)`` with ``u = q^(s/2)``, so ``1 - 1 / q`` at s = 0.
-    With ``out``, the result is written there; ``out`` may be ``q``.  ``u``,
-    when given, is :func:`shared_power`'s value for ``q``; without it a
-    temporary holds the power.
+    Returns ``(e, g)``: ``e = sum_{a<b} ||x_a - x_b||^2 / 2``, which is
+    ``(n / 2) * sum_a ||x_a - m||^2`` with m the mean row, and the n x d array
+    ``g`` whose row a is the attraction's share of the unnormalized force,
+    ``sum_b (x_a - x_b) = n * (x_a - m)``.  Both are centred on m; the
+    uncentred ``n * sum ||x_a||^2 - ||sum x_a||^2`` cancels catastrophically
+    once the points lie far from the origin.
+    """
+    n = x.shape[0]
+    c = x - x.mean(axis=0)
+    e = 0.5 * n * float(np.vdot(c, c))
+    return e, np.multiply(c, n, out=c)
+
+
+def pair_value(sq, q, s: float):
+    """W from the squared distance ``sq`` and its regularization ``q``."""
+    return np.add(repulsion(q, s), 0.5 * sq)
+
+
+def gradient_coef(q, s: float, out=None):
+    """The scalar c = 1 - r with grad W(z) = c * z, at ``q = ||z||^2 + eps``.
+
+    ``c = 1 - 1 / (q * q^(s/2))``, so ``1 - 1 / q`` at s = 0; the backward's
+    gradient takes it.  With ``out``, the result is written there; ``out``
+    may be ``q``, and a temporary holds the power.
     """
     if s != 0:
-        if u is None:
-            u = shared_power(q, s)
-        q = np.multiply(q, u, out=out)
+        q = np.multiply(q, shared_power(q, s), out=out)
     c = np.divide(1.0, q, out=out)
     return np.subtract(1.0, c, out=out)
 

@@ -97,8 +97,10 @@ def test_energy_rigid_motion_invariance():
     p = PotentialParams(1.0, 0.01)
     e0 = interaction_energy(ps, p)
     rot = random_rotation(3, seed=2)
-    moved = ParticleSet(ps.positions @ rot.T + np.array([3.0, -1.0, 0.5]))
-    assert interaction_energy(moved, p) == pytest.approx(e0, rel=1e-10)
+    # the far shift cancels catastrophically in an uncentred attraction sum
+    for shift in ([3.0, -1.0, 0.5], [1e4, 1e4, 1e4]):
+        moved = ParticleSet(ps.positions @ rot.T + np.array(shift))
+        assert interaction_energy(moved, p) == pytest.approx(e0, rel=1e-10)
 
 
 def test_energy_coincident_singularity():
@@ -311,13 +313,8 @@ def test_blocked_pairwise_independent_of_block_size(monkeypatch, s, d):
     np.testing.assert_array_equal(forward_gradient(ps, p), base)
 
 
-@pytest.mark.parametrize("s", [0.0, 1.0], ids=lambda s: f"s={s:g}")
-@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
-def test_forces_match_difference_tensor(s, d):
-    # the per-coordinate blocks against the (n, n, d) difference tensor they
-    # replaced; n=300 spans several blocks
-    ps = random_set(300, d, seed=31, scale=2.0)
-    p = PotentialParams(s, 1e-3)
+def difference_tensor_reference(ps, p):
+    """Forces and E_n from the (n, n, d) difference tensor and the full W."""
     x = ps.positions
     n = ps.n
     diff = x[:, None] - x[None]
@@ -327,12 +324,44 @@ def test_forces_match_difference_tensor(s, d):
     coef = gradient_coef(q, p.s)
     w = pair_value(sq, q, p.s)
     np.fill_diagonal(w, 0.0)
-    ref_forces = np.einsum("ab,abd->ad", coef, diff) / (n - 1)
-    ref_energy = w.sum() / (n * (n - 1))
+    return np.einsum("ab,abd->ad", coef, diff) / (n - 1), w.sum() / (n * (n - 1))
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0], ids=lambda s: f"s={s:g}")
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
+def test_forces_match_difference_tensor(s, d):
+    # the per-coordinate blocks against the (n, n, d) difference tensor they
+    # replaced; n=300 spans several blocks
+    ps = random_set(300, d, seed=31, scale=2.0)
+    p = PotentialParams(s, 1e-3)
+    ref_forces, ref_energy = difference_tensor_reference(ps, p)
     np.testing.assert_allclose(forward_gradient(ps, p), ref_forces, rtol=0, atol=1e-13)
     # the energy cached by forward_gradient and a fresh set's own blocks
     assert interaction_energy(ps, p) == pytest.approx(ref_energy, rel=1e-13)
-    assert interaction_energy(ParticleSet(x), p) == pytest.approx(ref_energy, rel=1e-13)
+    assert interaction_energy(ParticleSet(ps.positions), p) == pytest.approx(ref_energy,
+                                                                             rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0], ids=lambda s: f"s={s:g}")
+def test_pair_pass_evaluates_only_the_repulsion(monkeypatch, s):
+    # the attraction is summed once per pass in closed form, so the pass needs
+    # neither the full pair value nor the full gradient coefficient
+    import efs.potential
+
+    ps = random_set(300, 2, seed=31, scale=2.0)
+    p = PotentialParams(s, 1e-3)
+    ref_forces, ref_energy = difference_tensor_reference(ps, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair pass evaluated W's attraction per pair")
+
+    for name in ("pair_value", "gradient_coef"):
+        monkeypatch.setattr(efs.potential, name, refuse)
+        monkeypatch.setattr(forward, name, refuse, raising=False)
+    np.testing.assert_allclose(forward_gradient(ps, p), ref_forces, rtol=0, atol=1e-13)
+    assert interaction_energy(ps, p) == pytest.approx(ref_energy, rel=1e-13)
+    assert interaction_energy(ParticleSet(ps.positions), p) == pytest.approx(ref_energy,
+                                                                             rel=1e-13)
 
 
 # ---------------------------------------------------------------- energy cache

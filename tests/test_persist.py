@@ -209,6 +209,29 @@ def test_csv_non_numeric_cell(tmp_path):
         read_csv(path)
 
 
+# Python's float and int read these as 10.5, 10, 5.5, 5, 1.0 and 2; write_csv
+# writes none of them
+@pytest.mark.parametrize("header, row", [
+    ("x0,x1", "1_0.5,2.0"), ("x0,x1,seed", "1.0,2.0,1_0"),
+    ("x0,x1", "\u0665.\u0665,2.0"), ("x0,x1,seed", "1.0,2.0,\u0665"),
+    ("x0,x1", " 1.0,2.0"), ("x0,x1,label", "1.0,2.0,2 "),
+], ids=["underscore float", "underscore seed", "arabic-indic float", "arabic-indic seed",
+        "padded float", "padded label"])
+def test_csv_non_ascii_decimal_cell(tmp_path, header, row):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{header}\n1.0,2.0{(header.count(',') - 1) * ',0'}\n{row}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="line 3: .* is not an ASCII decimal numeral"):
+        read_csv(path)
+
+
+def test_csv_reads_every_ascii_decimal_form(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x0,x1,label\n-1.5e-3,+2.,-7\n.5,3E+2,+4\n")
+    points, labels, _seeds = read_csv(path)
+    np.testing.assert_array_equal(points, [[-1.5e-3, 2.0], [0.5, 300.0]])
+    assert labels.tolist() == [-7, 4]
+
+
 def test_csv_binary_file_is_format_error(tmp_path):
     path = tmp_path / "t.csv"
     write_efsb(path, [random_matrix(3, 2)])

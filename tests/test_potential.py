@@ -14,7 +14,8 @@ from efs import (
     prox_objective,
 )
 from efs.backward import mean_field_gradient
-from efs.potential import gradient_coef
+from efs.potential import (attraction_sums, gradient_coef, repulsion, repulsion_coef,
+                           shared_power)
 from efs.rng import SplitMix64
 
 from conftest import fd_gradient, fd_hessian, random_rotation
@@ -153,6 +154,57 @@ def test_gradient_coef_matches_the_direct_power_form(s, form):
         np.testing.assert_array_equal(got, ref)
     else:
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(x) + np.spacing(np.abs(ref)))
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+def test_shared_power_and_repulsion_are_the_direct_forms_bit_for_bit(s):
+    # the square root at s = 1 and the multiply by s skipped at s = 1 change
+    # no bit, with or without out= and u=
+    q = np.geomspace(1e-3, 1e3, 2001)
+    u_ref = q ** (s / 2.0)
+    rep_ref = 1.0 / (s * q ** (s / 2.0))
+    buf, own = np.empty_like(q), q.copy()
+    powers = [shared_power(q, s), shared_power(q, s, out=buf), shared_power(own, s, out=own)]
+    assert powers[1] is buf and powers[2] is own
+    assert all(same_bits(u, u_ref) for u in powers)
+    buf, into = np.empty_like(q), np.empty_like(q)
+    reps = [repulsion(q, s), repulsion(q, s, out=buf), repulsion(q, s, u=u_ref.copy()),
+            repulsion(q, s, out=into, u=shared_power(q, s, out=into))]
+    assert reps[1] is buf and reps[3] is into
+    assert all(same_bits(rep, rep_ref) for rep in reps)
+
+
+@pytest.mark.parametrize("form", ["array", "array out=q"])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 2.5, 4.0])
+def test_repulsion_coef_matches_the_direct_power_form(s, form):
+    # r = s * rep / q with rep = 1 / (s q^(s/2)) against q^(-(s+2)/2), within
+    # a few ulp; at s = 0 both are 1/q, bit for bit
+    q = np.geomspace(1e-3, 1e3, 2001)
+    ref = q ** (-(s + 2.0) / 2.0)
+    rep = repulsion(q, s)
+    if form == "array":
+        got = repulsion_coef(q, s, rep)
+    else:
+        buf = q.copy()
+        got = repulsion_coef(buf, s, rep, out=buf)
+        assert got is buf
+    if s == 0:
+        np.testing.assert_array_equal(got, ref)
+    else:
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+
+def test_attraction_sums_match_the_pair_sums():
+    x = SplitMix64(13).normals(50 * 3).reshape(50, 3) + np.array([7.0, -3.0, 0.5])
+    diff = x[:, None] - x[None]
+    e, g = attraction_sums(x)
+    # each unordered pair once: a quarter of the sum of |x_a - x_b|^2 over a != b
+    assert e == pytest.approx(0.25 * float(np.einsum("abd,abd->", diff, diff)), rel=1e-13)
+    np.testing.assert_allclose(g, diff.sum(axis=1), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- curvature bounds
