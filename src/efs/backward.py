@@ -28,15 +28,15 @@ as the array formula rounds it, so the iterates are those of numpy vector
 arithmetic; only the dot products g . g and g . g_c are Python sums of the d
 products, which can round differently from a BLAS dot in the last bit.
 
-H takes its pair values from the one row block of
-``efs.forward.pair_blocks(v[None], snap.positions)``.  The inner gradient, the
-hot path, builds the same differences ``v - x_i`` and the same ``q`` in the
-buffers of one :class:`_Workspace`, which :func:`invert_step` builds once per
-call, so its inner loop allocates no (d, n) block.  One axis-0 reduction adds
-the squares and eps into ``q`` row by row, in ``pair_blocks``' order, so
-``q`` is bit for bit ``pair_blocks``' squared distance plus eps.  H and the
-gradient pass their ``q`` to
-:func:`efs.potential.check_separation`, so a zero separation raises.
+H and its gradient evaluate the point against the snapshot the same way:
+:func:`_fill` writes the differences ``v - x_i``, their squares and
+``q = ||v - x_i||^2 + eps`` into the buffers of one :class:`_Workspace` and
+passes ``q`` to :func:`efs.potential.check_separation`, so a zero separation
+raises.  :func:`invert_step` builds its workspace once per call, so its inner
+loop allocates no (d, n) block.  H, :func:`invert_step` and
+:func:`augmented_forward_map` take their points through one check
+(:func:`_point`), so a point that is not a finite vector of the snapshot's
+dimension raises the same :class:`ValueError` at each of them.
 
 :func:`run_backward` takes a memo dict that :func:`efs.pipeline.invert_batch`
 shares across a batch, so a (step, start) that two samples reach is inverted
@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InstabilityError, SingularityError, check_bound
-from .forward import ParticleSet, Trajectory, pair_blocks
+from .forward import ParticleSet, Trajectory
 from .potential import (PotentialParams, check_separation, gradient_coef,
                         pair_hessian_spectral_bound, pair_value)
 
@@ -114,15 +114,16 @@ class BackwardPath:
 
 
 class _Workspace:
-    """Buffers for the gradients of one inversion against one snapshot.
+    """Buffers for evaluating points against one snapshot (:func:`_fill`).
 
     ``cols`` is a contiguous (d, n) copy of the snapshot's positions, ``t``
     takes the differences v - x_i, the first d rows of ``w`` (the stored view
     ``sq``) their squares and its last row holds eps, and ``q`` takes the sum
-    of ``w``'s rows, then the gradient coefficients; ``n`` is the particle
-    count.  ``rows`` pairs each coordinate's column of ``cols`` with its row
-    of ``t``, so the gradient subtracts one float per coordinate from a
-    column instead of broadcasting a (d, 1) array.  Built once per
+    of ``w``'s rows, then, in the gradient, its coefficients; ``n`` is the
+    particle count.  ``rows`` pairs each coordinate's column of ``cols`` with
+    its row of ``t``, so the fill subtracts one float per coordinate from a
+    column instead of broadcasting a (d, 1) array.  H builds one per value;
+    the gradients of one inversion share one, built once per
     :func:`invert_step` call, so its inner loop allocates no (d, n) block; for
     s > 0 the power ``q^(s/2)`` still takes one length-n temporary
     (:func:`efs.potential.gradient_coef`).
@@ -142,27 +143,38 @@ class _Workspace:
         self.rows = tuple(zip(self.cols, self.t))
 
 
-def mean_field_gradient(v, snap: ParticleSet, p: PotentialParams,
-                        work: _Workspace | None = None) -> np.ndarray:
-    """(1/n) * sum_i grad W(v - x_i) over the snapshot particles.
+def _fill(v, work: _Workspace, p: PotentialParams) -> np.ndarray:
+    """Evaluate the point ``v`` against ``work``'s snapshot; returns ``q``.
 
-    ``v`` is the point as d floats, a list (the inner loop's) or a 1-d array;
-    a point of another length raises :class:`ValueError` (a strict ``zip``
-    over the coordinates), and a non-finite one gives a non-finite gradient.
-    Each coordinate's differences go to its row of ``work.t``, their squares
-    to the first d rows of ``work.w``, and one axis-0 reduction of ``work.w``
-    adds the rows in order, so ``q = ((t_0^2 + t_1^2) + ...) + eps`` as in
-    ``pair_blocks``.  The coefficients overwrite ``q``, and one (d, n) @ (n,)
-    product reduces them.  ``work`` must be built for ``snap`` and ``p``;
-    without it one is built for this call.  The result is a new array.
+    ``v`` is d floats, a list or a 1-d array; a point of another length
+    raises :class:`ValueError` (a strict ``zip`` over the coordinates).  Each
+    coordinate's differences go to its row of ``work.t``, their squares to
+    ``work.sq``, and one axis-0 reduction of ``work.w`` adds the rows in
+    order, so ``q = ((t_0^2 + t_1^2) + ...) + eps``.  ``q`` is ``work.q``,
+    checked by :func:`efs.potential.check_separation`.
     """
-    if work is None:
-        work = _Workspace(snap, p)
     for vk, (col, tk) in zip(v, work.rows, strict=True):
         np.subtract(vk, col, out=tk)
     np.square(work.t, out=work.sq)
     q = np.add.reduce(work.w, axis=0, out=work.q)
     check_separation(q, p.epsilon)
+    return q
+
+
+def mean_field_gradient(v, snap: ParticleSet, p: PotentialParams,
+                        work: _Workspace | None = None) -> np.ndarray:
+    """(1/n) * sum_i grad W(v - x_i) over the snapshot particles.
+
+    ``v`` is the point as d floats, a list (the inner loop's) or a 1-d array;
+    a point of another length raises :class:`ValueError` (see :func:`_fill`),
+    and a non-finite one gives a non-finite gradient.  The coefficients
+    overwrite the filled ``q``, and one (d, n) @ (n,) product reduces them.
+    ``work`` must be built for ``snap`` and ``p``; without it one is built for
+    this call.  The result is a new array.
+    """
+    if work is None:
+        work = _Workspace(snap, p)
+    q = _fill(v, work, p)
     g = work.t @ gradient_coef(q, p.s, out=q)
     g /= work.n
     return g
@@ -196,15 +208,16 @@ def augmented_forward_map(y: np.ndarray, snap: ParticleSet, gamma: float,
 
 def prox_objective(v, anchor, snap: ParticleSet, cfg: BackwardConfig,
                    p: PotentialParams) -> float:
-    """The inner objective H(v); convex whenever gamma * L_W < 1."""
-    v = np.asarray(v, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    # one row against all n particles is a single block
-    (_i0, _i1, _t, sq), = pair_blocks(v[None], snap.positions)
-    q = sq + p.epsilon
-    check_separation(q, p.epsilon)
-    mean_w = float(pair_value(sq, q, p.s).sum()) / snap.n
-    dv = v - anchor
+    """The inner objective H(v); convex whenever gamma * L_W < 1.
+
+    ``v`` and ``anchor`` must be finite vectors of the snapshot's dimension,
+    as a start of :func:`invert_step` must (the same :class:`ValueError`).
+    """
+    v, anchor = _point(v, snap), _point(anchor, snap)
+    work = _Workspace(snap, p)
+    q = _fill(v, work, p)
+    mean_w = float(pair_value(np.add.reduce(work.sq, axis=0), q, p.s).sum()) / snap.n
+    dv = np.subtract(v, anchor)
     return 0.5 * float(dv @ dv) - cfg.gamma * mean_w
 
 

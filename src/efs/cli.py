@@ -2,9 +2,11 @@
 
 Standard output carries machine-readable ``key=value`` lines; diagnostics go
 to standard error.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 I/O error.  ``efs forward`` holds no numeric verdict:
-it prints and stores the energies that :func:`efs.forward.run_forward`
-computed, checked and judged.  Apart from ``--config`` the commands open
+3 numerical failure, 4 I/O error.  No command holds a numeric verdict:
+``efs forward`` prints and stores the energies that
+:func:`efs.forward.run_forward` computed, checked and judged, and
+``efs roundtrip`` prints the recovery error and the verdict of
+:func:`efs.pipeline.roundtrip`.  Apart from ``--config`` the commands open
 no file themselves: point files, the trajectory, its energy csv, samples
 csvs and a replay's seed column go through :mod:`efs.persist`, which also
 owns the rule that a ``.csv`` or ``.efsb`` extension names the format, and
@@ -32,8 +34,6 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
 from . import persist, svg
 from .backward import SNAPSHOT_MODES, BackwardConfig
 from .datasets import gaussian_mixture, swiss_roll
@@ -42,15 +42,12 @@ from .errors import (DegenerateEnclosureError, FormatError, InstabilityError, Si
 from .forward import energy_trace, run_forward
 from .metrics import check_mmd_params, mmd_squared, nn_novelty, uniformity_report
 from .persist import load_points, save_points
-from .pipeline import generate_from_trajectory, interpolation_path, invert_batch
+from .pipeline import generate_from_trajectory, interpolation_path, roundtrip
 from .potential import PotentialParams
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-# Acceptance criterion 5's limit on the training-data recovery error.
-ROUNDTRIP_TOL = 5e-2
 
 
 def load_config_file(path) -> dict:
@@ -230,19 +227,12 @@ def cmd_roundtrip(args) -> int:
     check_bound("--indices", args.indices, 1)
     bwd = BackwardConfig(gamma=0.0, beta=args.beta, T=args.T)
     traj, _labels = persist.read_trajectory(args.traj)
-    count = min(args.indices, traj.n)
-    batch = invert_batch(traj.snapshots[-1].positions[:count], traj, bwd,
-                         args.snapshot_mode, "roundtrip", keep_paths=False)
-    max_err = max(float(np.linalg.norm(g - x))
-                  for g, x in zip(batch.generated, traj.snapshots[0].positions))
+    batch, max_err, verdict = roundtrip(traj, bwd, args.indices, args.snapshot_mode)
     print(f"snapshot_mode={args.snapshot_mode}")
-    print(f"indices={count}")
+    print(f"indices={batch.generated.shape[0]}")
     print(f"max_recovery_error={max_err:.17g}")
     print(f"inner_capped={batch.inner_capped}")
-    if args.snapshot_mode == "exact":
-        print(f"status={'pass' if max_err <= ROUNDTRIP_TOL else 'fail'}")
-    else:
-        print("status=reported")
+    print(f"status={verdict or 'reported'}")
     return 0
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InstabilityError, SingularityError, check_bound
 from .potential import (PotentialParams, attraction_sums, check_separation, repulsion,
-                        repulsion_coef, shared_power)
+                        repulsion_coef)
 
 logger = logging.getLogger(__name__)
 
@@ -177,7 +177,7 @@ def pair_blocks(a: np.ndarray, b: np.ndarray | None = None):
         i0 = i1
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def _upper_layout(rows: int, width: int):
     """Masks and cuts for an upper-triangle block of shape (rows, width).
 
@@ -185,7 +185,9 @@ def _upper_layout(rows: int, width: int):
     the block's leading (rows, rows) square, and
     ``np.add.reduceat(block.ravel(), cuts)[::2]`` sums each row r over c > r,
     the slice ``block[r, r + 1:]`` that pairs particle i0 + r with every
-    particle above it.
+    particle above it.  The cache has no bound: a pass walks the same shapes
+    every time, 4185 of them at n = 10^4 (about 1.6 MB of layouts), and a bounded
+    LRU smaller than that count would miss on every block.
     """
     lower = np.tri(rows, dtype=bool)
     cuts = np.empty(2 * rows - 1, dtype=np.intp)
@@ -238,7 +240,7 @@ def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
         np.copyto(q[:, :rows], 1.0, where=lower)
         check_separation(q, p.epsilon)
         w = wbuf[:sq.size].reshape(sq.shape)
-        rep = repulsion(q, p.s, out=w, u=shared_power(q, p.s, out=w))
+        rep = repulsion(q, p.s, out=w)
         row_energy[i0:i1] = np.add.reduceat(rep.ravel(), cuts)[::2]
         if forces is not None:
             r = repulsion_coef(q, p.s, rep, out=q)

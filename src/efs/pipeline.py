@@ -17,6 +17,10 @@ on the reference mixture they collapse onto shared paths from about step 16
 on, and 14-19 % of a 50-sample batch's inversions are reused.  Merged samples
 are copies of one another, so the saving measures the collapse; where
 samples stay apart (the Swiss roll, the n = 2000 mixture) nothing is reused.
+
+:func:`roundtrip` owns the recovery check of a stored trajectory: it walks
+the first final-snapshot particles back as one batch and judges the largest
+recovery error against acceptance criterion 5's ``ROUNDTRIP_TOL``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from .potential import PotentialParams
 from .rng import SplitMix64, spawn_seed
 
 AUGMENTATION_MODES = ("sphere", "ball", "interpolation")
+
+# Acceptance criterion 5's limit on the training-data recovery error.
+ROUNDTRIP_TOL = 5e-2
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,27 @@ def invert_batch(starts, traj: Trajectory, bwd: BackwardConfig, snapshot_mode: s
     return SampleBatch(generated=np.array([p.generated for p in paths]),
                        seeds=None if seeds is None else tuple(seeds), mode=mode,
                        inner_capped=capped, paths=tuple(paths) if keep_paths else None)
+
+
+def roundtrip(traj: Trajectory, bwd: BackwardConfig, indices: int,
+              snapshot_mode: str = "exact"):
+    """Walk the first ``indices`` final-snapshot particles back and judge the recovery.
+
+    The particles (all n when ``indices`` exceeds n) are inverted as one
+    ``"roundtrip"`` batch (:func:`invert_batch`).  Returns ``(batch, max_err,
+    verdict)``: ``max_err`` is the largest distance of a generated point from
+    its particle's initial position, and ``verdict`` is ``"pass"`` or
+    ``"fail"`` against ``ROUNDTRIP_TOL`` in exact mode; paper mode does not
+    undo the forward map, so there it is None.
+    """
+    check_bound("indices", indices, 1)
+    batch = invert_batch(traj.snapshots[-1].positions[:indices], traj, bwd,
+                         snapshot_mode, "roundtrip", keep_paths=False)
+    max_err = max(float(np.linalg.norm(g - x))
+                  for g, x in zip(batch.generated, traj.snapshots[0].positions))
+    if snapshot_mode != "exact":
+        return batch, max_err, None
+    return batch, max_err, "pass" if max_err <= ROUNDTRIP_TOL else "fail"
 
 
 def _check_request(m: int, mode: str = "sphere", seeds: Optional[list] = None) -> None:

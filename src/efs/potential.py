@@ -85,19 +85,17 @@ def shared_power(q, s: float, out=None):
     return out
 
 
-def repulsion(q, s: float, out=None, u=None):
+def repulsion(q, s: float, out=None):
     """Repulsive part of W at regularized squared distance ``q``.
 
     ``-log(q) / 2`` for s = 0, otherwise ``1 / (s * u)`` with ``u =
-    q^(s/2)`` (``1 / u`` at s = 1); for s > 0 it is also the MMD kernel.
-    Elementwise on arrays; ``out``, when given, is an array of ``q``'s shape
-    that receives the result.  ``u``, when given, is :func:`shared_power`'s
-    value for ``q`` and may be ``out``.
+    q^(s/2)`` from :func:`shared_power` (``1 / u`` at s = 1); for s > 0 it is
+    also the MMD kernel.  Elementwise on arrays; ``out``, when given, is an
+    array of ``q``'s shape that receives the power and then the result.
     """
     if s == 0:
         return np.multiply(np.log(q, out=out), -0.5, out=out)
-    if u is None:
-        u = shared_power(q, s, out)
+    u = shared_power(q, s, out)
     if s != 1:
         u = np.multiply(u, s, out=out)
     return np.divide(1.0, u, out=out)

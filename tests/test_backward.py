@@ -24,6 +24,8 @@ from efs import (
 )
 from efs.backward import (DESCENT_C, MAX_HALVINGS, _prox_gradient, _Workspace,
                           mean_field_gradient)
+from efs.forward import pair_blocks
+from efs.potential import pair_value
 from efs.rng import SplitMix64
 
 from conftest import fd_gradient
@@ -114,6 +116,25 @@ def test_mean_field_sums_match_pairwise_loop(s, d):
                                    rtol=1e-12, atol=1e-14)
         assert prox_objective(v, anchor, snap, cfg, p) == pytest.approx(
             0.5 * float(v @ v) - cfg.gamma * mean_w, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5])
+def test_objective_is_the_one_row_pair_block_bit_for_bit(s, d):
+    # H's fill sums the squares and eps in pair_blocks' order, so its pair
+    # values are those of the one row block of pair_blocks(v[None], x)
+    snap = random_set(37, d, seed=d)
+    cfg = BackwardConfig(gamma=0.07, beta=0.1, T=10)
+    p = PotentialParams(s, 1e-3)
+    rng = SplitMix64(int(10 * s) + d)
+    for _ in range(20):
+        v, anchor = 2.0 * rng.normals(d), rng.normals(d)
+        (_i0, _i1, _t, sq), = pair_blocks(v[None], snap.positions)
+        mean_w = float(pair_value(sq, sq + p.epsilon, s).sum()) / snap.n
+        dv = v - anchor
+        ref = 0.5 * float(dv @ dv) - cfg.gamma * mean_w
+        assert prox_objective(v, anchor, snap, cfg, p) == ref
+        assert prox_objective(v.tolist(), anchor.tolist(), snap, cfg, p) == ref
 
 
 def _row_loop_gradient(v, positions, p):
@@ -412,9 +433,13 @@ def test_invert_rejects_a_start_that_is_not_a_finite_vector_of_the_dimension():
             invert_step(start, snap, cfg, p)
         with pytest.raises(ValueError, match=message):
             run_backward(start, traj, cfg)
-        # the forward map of one point takes the same points
+        # the forward map of one point and H take the same points
         with pytest.raises(ValueError, match=message):
             augmented_forward_map(start, snap, 0.1, p)
+        with pytest.raises(ValueError, match=message):
+            prox_objective(start, [0.1, 0.2], snap, cfg, p)
+        with pytest.raises(ValueError, match=message):
+            prox_objective([0.1, 0.2], start, snap, cfg, p)
 
 
 # ---------------------------------------------------------------- run_backward

@@ -364,6 +364,19 @@ def test_pair_pass_evaluates_only_the_repulsion(monkeypatch, s):
                                                                              rel=1e-13)
 
 
+def test_upper_layouts_stay_cached_when_a_pass_walks_more_shapes_than_a_bounded_cache(
+        monkeypatch):
+    # one-row blocks at n = 4200 walk 4199 shapes, more than an LRU of 4096
+    # holds, so a bounded cache would miss on every block of every pass
+    monkeypatch.setattr(forward, "_BLOCK_PAIRS", 1)
+    ps = random_set(4200, 1, seed=2)
+    p = PotentialParams(1.0, 1e-3)
+    forward_gradient(ps, p)
+    hits = forward._upper_layout.cache_info().hits
+    forward_gradient(ps, p)
+    assert forward._upper_layout.cache_info().hits - hits == 4199
+
+
 # ---------------------------------------------------------------- energy cache
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5])

@@ -18,6 +18,7 @@ from efs import (
     generate_from_trajectory,
     interpolate_latent,
     interpolation_path,
+    run_backward,
     run_forward,
     sample_ball,
     sample_sphere,
@@ -244,6 +245,24 @@ def test_interpolation_path_endpoints_and_determinism():
     assert np.linalg.norm(batch.generated[-1] - traj.snapshots[0].positions[7]) <= 5e-2
     again = interpolation_path(traj, 0, 7, 5, cfg, snapshot_mode="exact")
     np.testing.assert_array_equal(again.generated, batch.generated)
+
+
+def test_roundtrip_error_is_the_per_particle_recovery_error():
+    # criterion 5's computation: each particle walked back alone, in exact mode
+    traj = small_trajectory(seed=4, n=12, k=3)
+    cfg = BackwardConfig(gamma=0.0, beta=0.1, T=300)
+    errors = [float(np.linalg.norm(
+        run_backward(traj.snapshots[-1].positions[i], traj, cfg, snapshot_mode="exact").generated
+        - traj.snapshots[0].positions[i])) for i in range(5)]
+    batch, max_err, verdict = efs.pipeline.roundtrip(traj, cfg, 5)
+    assert batch.mode == "roundtrip" and batch.generated.shape == (5, 2)
+    assert max_err == max(errors)
+    assert verdict == ("pass" if max_err <= efs.pipeline.ROUNDTRIP_TOL else "fail")
+    # paper mode is reported without a verdict; indices past n take all n
+    batch, max_err, verdict = efs.pipeline.roundtrip(traj, cfg, 50, snapshot_mode="paper")
+    assert batch.generated.shape == (12, 2) and max_err >= 0.0 and verdict is None
+    with pytest.raises(ValueError, match="indices must be >= 1"):
+        efs.pipeline.roundtrip(traj, cfg, 0)
 
 
 def test_interpolation_path_validation():
