@@ -12,7 +12,11 @@ The all-pairs blocks of the forward pass and of :mod:`efs.metrics` come from
 one generator, :func:`pair_blocks`.  It yields blocks of rows with one 2-D
 difference block per coordinate.  A block holds about ``_BLOCK_PAIRS`` pairs,
 so each of its float64 arrays is at most 128 KB and stays in a core's L2
-cache.  The forward pass walks only the upper triangle, since the pair force
+cache.  Each difference block is one BLAS product with K = 2,
+[a_k, 1] @ [1; -b_k]: an entry a_k * 1 + 1 * (-b_k) is two exact products
+and one rounding, so it holds the bits of a_k - b_k (save that -0.0 against
++0.0 gives +0.0, not -0.0) at about a third of a broadcast subtract's cost.
+The forward pass walks only the upper triangle, since the pair force
 is odd (grad W(-z) = -grad W(z)): each pair a < b is evaluated once and
 its term goes to both particles.  Row a's share is one reduction of the
 slice of pairs (a, a+1..n-1), and column b's share is subtracted row by row
@@ -150,26 +154,36 @@ def pair_blocks(a: np.ndarray, b: np.ndarray | None = None):
 
     Rows are at least 1.  Every block is a view of buffers allocated once
     per call, so a caller is done with a block when it asks for the next.
+
+    Each ``t[k]`` is filled by one matmul, ``[a_k, 1] @ [1; -b_k]``, from
+    factors built once per call.  With K = 2 every entry is a_k * 1 +
+    1 * (-b_k), two exact products and one rounding in any order, so ``t``
+    holds the bits of the subtract with one exception: -0.0 against +0.0
+    gives +0.0 where the subtract gives -0.0.  The values are equal, and the
+    squares in ``sq`` carry no sign, so ``sq`` is the subtract's bit for bit.
     """
     upper = b is None
     if upper:
         b = a
-    cols = np.ascontiguousarray(b.T)
-    n = b.shape[0]
+    n, d = b.shape
+    left = np.ones((d, a.shape[0], 2))
+    left[..., 0] = a.T
+    right = np.ones((d, 2, n))
+    np.negative(b.T, out=right[:, 1])
     stop = a.shape[0] - 1 if upper else a.shape[0]
     # Fresh arrays per block let malloc hand heap pages back and fault them in
     # again, which made the MMD ~50 % slower.  One joint buffer in place of
     # one per array raised the benchmark's peak RSS by 0.4-1.1 MB.
     size = _block_capacity(a.shape[0], n)
-    bufs = [np.empty(size) for _ in range(len(cols) + 1)]
+    bufs = [np.empty(size) for _ in range(d + 1)]
     i0 = 0
     while i0 < stop:
         j0 = i0 if upper else 0
         width = n - j0
         i1 = min(i0 + max(1, _BLOCK_PAIRS // width), stop)
         *t, sq = (buf[:(i1 - i0) * width].reshape(i1 - i0, width) for buf in bufs)
-        for k, c in enumerate(cols):
-            np.subtract(a[i0:i1, k, None], c[j0:], out=t[k])
+        for k in range(d):
+            np.matmul(left[k, i0:i1], right[k, :, j0:], out=t[k])
         np.multiply(t[0], t[0], out=sq)
         for tk in t[1:]:
             sq += tk * tk

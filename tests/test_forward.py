@@ -1,10 +1,15 @@
 import logging
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import efs
 from efs import (
     InstabilityError,
     ParticleSet,
@@ -375,6 +380,67 @@ def test_upper_layouts_stay_cached_when_a_pass_walks_more_shapes_than_a_bounded_
     hits = forward._upper_layout.cache_info().hits
     forward_gradient(ps, p)
     assert forward._upper_layout.cache_info().hits - hits == 4199
+
+
+def spread_set(n, d, seed):
+    """Signed values whose magnitudes spread over 1e-8 ... 1e8."""
+    rng = SplitMix64(seed)
+    signs = np.where(rng.uniforms(n * d) < 0.5, -1.0, 1.0)
+    return (signs * 10.0 ** (16.0 * rng.uniforms(n * d) - 8.0)).reshape(n, d)
+
+
+@pytest.mark.parametrize("block_pairs", ["one", "n-1", "default"])
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
+def test_pair_blocks_differences_are_the_subtract_bit_for_bit(monkeypatch, d, block_pairs):
+    # each matmul entry a_k * 1 + 1 * (-b_k) takes one rounding, that of a_k - b_k
+    n = 60
+    a, b = spread_set(n, d, seed=50), spread_set(n + 7, d, seed=51)
+    size = {"one": 1, "n-1": n - 1, "default": forward._BLOCK_PAIRS}[block_pairs]
+    monkeypatch.setattr(forward, "_BLOCK_PAIRS", size)
+    for other in (None, b):
+        cols, seen = a if other is None else other, 0
+        for i0, i1, t, sq in forward.pair_blocks(a, other):
+            j0 = i0 if other is None else 0
+            ref = [np.subtract(a[i0:i1, k, None], cols[None, j0:, k]) for k in range(d)]
+            for tk, rk in zip(t, ref):
+                assert tk.tobytes() == rk.tobytes()
+            ref_sq = ref[0] * ref[0]
+            for rk in ref[1:]:
+                ref_sq += rk * rk
+            assert sq.tobytes() == ref_sq.tobytes()
+            seen += i1 - i0
+        assert seen == (n - 1 if other is None else n)
+
+
+def test_pair_blocks_give_plus_zero_where_the_subtract_gives_minus_zero():
+    # -0.0 - (+0.0) is -0.0, but a GEMM's sum (+0 + -0) + -0 is +0.0; the
+    # values are equal, and the squares carry no sign
+    a, b = np.array([[-0.0], [1.0]]), np.array([[0.0], [-0.0], [2.0]])
+    (_i0, _i1, t, sq), = forward.pair_blocks(a, b)
+    ref = np.subtract(a[:, 0, None], b[None, :, 0])
+    assert np.signbit(ref[0, 0]) and not np.signbit(t[0][0, 0])
+    np.testing.assert_array_equal(t[0], ref)
+    assert sq.tobytes() == (ref * ref).tobytes()
+
+
+@pytest.mark.parametrize("block_pairs", ["default", "500 rows"])
+def test_forward_pass_bytes_do_not_depend_on_the_blas_thread_count(block_pairs):
+    # the pair blocks are BLAS products; n = 2000 spans many blocks, and
+    # OpenBLAS splits a block over two threads from about 400 rows of 2000
+    size = {"default": forward._BLOCK_PAIRS, "500 rows": 500 * 2000}[block_pairs]
+    code = ("import hashlib, numpy as np; import efs.forward as forward; from efs import *; "
+            "from efs.rng import SplitMix64; "
+            f"forward._BLOCK_PAIRS = {size}; "
+            "ps = ParticleSet(SplitMix64(9).normals(4000).reshape(2000, 2)); "
+            "p = PotentialParams(1.0, 1e-3); f = forward_gradient(ps, p); "
+            "e = np.float64(interaction_energy(ps, p)); "
+            "print(hashlib.sha256(f.tobytes() + e.tobytes()).hexdigest())")
+    src = str(Path(efs.__file__).resolve().parents[1])
+    digests = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n},
+                              check=True).stdout.strip()
+               for n in ("1", "2")}
+    assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 # ---------------------------------------------------------------- energy cache
