@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import InstabilityError, SingularityError, check_bound
 from .forward import ParticleSet, Trajectory
-from .potential import (PotentialParams, check_separation, gradient_coef,
+from .potential import (PotentialParams, aligned_empty, check_separation, gradient_coef,
                         pair_hessian_spectral_bound, pair_value)
 
 logger = logging.getLogger(__name__)
@@ -116,7 +116,9 @@ class BackwardPath:
 class _Workspace:
     """Buffers for evaluating points against one snapshot (:func:`_fill`).
 
-    ``cols`` is a contiguous (d, n) copy of the snapshot's positions, ``t``
+    The buffers are one :func:`efs.potential.aligned_empty` allocation, each
+    starting on a 64-byte boundary wherever malloc puts it.  ``cols`` is a
+    contiguous (d, n) copy of the snapshot's positions, ``t``
     takes the differences v - x_i, the first d rows of ``w`` (the stored view
     ``sq``) their squares and its last row holds eps, and ``q`` takes the sum
     of ``w``'s rows, then, in the gradient, its coefficients; ``n`` is the
@@ -132,14 +134,12 @@ class _Workspace:
     __slots__ = ("cols", "t", "w", "sq", "q", "n", "rows")
 
     def __init__(self, snap: ParticleSet, p: PotentialParams):
-        self.cols = np.ascontiguousarray(snap.positions.T)
-        d, n = self.cols.shape
+        n, d = snap.positions.shape
         self.n = n
-        self.t = np.empty((d, n))
-        self.w = np.empty((d + 1, n))
+        self.cols, self.t, self.w, self.q = aligned_empty((d, n), (d, n), (d + 1, n), (n,))
+        np.copyto(self.cols, snap.positions.T)
         self.w[-1] = p.epsilon
         self.sq = self.w[:-1]
-        self.q = np.empty(n)
         self.rows = tuple(zip(self.cols, self.t))
 
 

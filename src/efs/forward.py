@@ -12,7 +12,11 @@ The all-pairs blocks of the forward pass and of :mod:`efs.metrics` come from
 one generator, :func:`pair_blocks`.  It yields blocks of rows with one 2-D
 difference block per coordinate.  A block holds about ``_BLOCK_PAIRS`` pairs,
 so each of its float64 arrays is at most 128 KB and stays in a core's L2
-cache.  Each difference block is one BLAS product with K = 2,
+cache.  The forward pass takes all of its block buffers from one arena per
+thread, a single allocation cut into slices that each start on a 64-byte
+cache line, allocated once per shape and kept, so a pass maps and faults in
+no buffer again; the metrics' blocks are allocated per call.  Each
+difference block is one BLAS product with K = 2,
 [a_k, 1] @ [1; -b_k]: an entry a_k * 1 + 1 * (-b_k) is two exact products
 and one rounding, so it holds the bits of a_k - b_k (save that -0.0 against
 +0.0 gives +0.0, not -0.0) at about a third of a broadcast subtract's cost.
@@ -40,14 +44,15 @@ cached values back.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InstabilityError, SingularityError, check_bound
-from .potential import (PotentialParams, attraction_sums, check_separation, repulsion,
-                        repulsion_coef)
+from .potential import (PotentialParams, aligned_empty, attraction_sums, check_separation,
+                        repulsion, repulsion_coef)
 
 logger = logging.getLogger(__name__)
 
@@ -56,10 +61,32 @@ logger = logging.getLogger(__name__)
 # float64 arrays is at most 128 KB, which a core's L2 cache holds.
 _BLOCK_PAIRS = 16384
 
+# This thread's pass buffers (see _pass_buffers).
+_arena = threading.local()
+
 
 def _block_capacity(rows: int, width: int) -> int:
     """Most pairs in one block of at most ``rows`` rows and ``width`` columns."""
     return min(max(_BLOCK_PAIRS, width), rows * width)
+
+
+def _pass_buffers(n: int, d: int) -> list:
+    """This thread's block buffers for a pass over n points in R^d.
+
+    They are d + 4 flat buffers: the d difference blocks, ``sq`` and the
+    scratch slot that :func:`pair_blocks` fills, then ``q`` and ``w`` of
+    :func:`_self_pair_pass`, ``w`` one row of n longer.  They are one
+    :func:`aligned_empty` allocation per (n, d, block capacity), about
+    (d + 4) * (_BLOCK_PAIRS + n) * 8 bytes, kept for the thread's later passes
+    of that shape: malloc maps and unmaps a 128 KB buffer allocated per pass,
+    which cost 160 minor faults per pass at n = 400.
+    """
+    size = _block_capacity(n, n)
+    key = (n, d, size)
+    if getattr(_arena, "key", None) != key:
+        _arena.bufs = aligned_empty(*[(size,)] * (d + 3), (size + n,))
+        _arena.key = key
+    return _arena.bufs
 
 
 @dataclass(frozen=True)
@@ -136,7 +163,7 @@ class Trajectory:
         return self.snapshots[0].d
 
 
-def pair_blocks(a: np.ndarray, b: np.ndarray | None = None):
+def pair_blocks(a: np.ndarray, b: np.ndarray | None = None, bufs=None):
     """Yield (i0, i1, t, sq) for the row blocks ``i0:i1`` of ``a``.
 
     ``t`` holds one difference block per coordinate k and ``sq`` sums their
@@ -152,8 +179,12 @@ def pair_blocks(a: np.ndarray, b: np.ndarray | None = None):
     the caller masks them.  The rows stop at n - 1, the last particle having
     no pair above it.
 
-    Rows are at least 1.  Every block is a view of buffers allocated once
-    per call, so a caller is done with a block when it asks for the next.
+    Rows are at least 1.  Every block is a view of d + 2 flat buffers of at
+    least ``_block_capacity(len(a), len(b))`` floats, the d difference blocks,
+    ``sq`` and a scratch slot for each later square, so a caller is done with a
+    block when it asks for the next.  ``bufs`` hands them in (the forward
+    pass's come from its arena, :func:`_pass_buffers`); without it they are
+    allocated once per call.
 
     Each ``t[k]`` is filled by one matmul, ``[a_k, 1] @ [1; -b_k]``, from
     factors built once per call.  With K = 2 every entry is a_k * 1 +
@@ -172,21 +203,21 @@ def pair_blocks(a: np.ndarray, b: np.ndarray | None = None):
     np.negative(b.T, out=right[:, 1])
     stop = a.shape[0] - 1 if upper else a.shape[0]
     # Fresh arrays per block let malloc hand heap pages back and fault them in
-    # again, which made the MMD ~50 % slower.  One joint buffer in place of
-    # one per array raised the benchmark's peak RSS by 0.4-1.1 MB.
-    size = _block_capacity(a.shape[0], n)
-    bufs = [np.empty(size) for _ in range(d + 1)]
+    # again, which made the MMD ~50 % slower.
+    if bufs is None:
+        size = _block_capacity(a.shape[0], n)
+        bufs = [np.empty(size) for _ in range(d + 2)]
     i0 = 0
     while i0 < stop:
         j0 = i0 if upper else 0
         width = n - j0
         i1 = min(i0 + max(1, _BLOCK_PAIRS // width), stop)
-        *t, sq = (buf[:(i1 - i0) * width].reshape(i1 - i0, width) for buf in bufs)
+        *t, sq, scratch = (buf[:(i1 - i0) * width].reshape(i1 - i0, width) for buf in bufs)
         for k in range(d):
             np.matmul(left[k, i0:i1], right[k, :, j0:], out=t[k])
         np.multiply(t[0], t[0], out=sq)
         for tk in t[1:]:
-            sq += tk * tk
+            sq += np.multiply(tk, tk, out=scratch)
         yield i0, i1, t, sq
         i0 = i1
 
@@ -240,14 +271,15 @@ def _self_pair_pass(ps: ParticleSet, p: PotentialParams, forces=None) -> float:
     or without ``forces``.  Besides the generator's, a block uses two
     buffers: one for ``q``, which r overwrites once the repulsion is summed,
     and one for ``u``, which the repulsion and then the pair terms overwrite.
+    All of a block's buffers come from this thread's arena
+    (:func:`_pass_buffers`), so a pass allocates none of them.
     """
     x = ps.positions
     n, d = x.shape
-    size = _block_capacity(n, n)
-    qbuf, wbuf = np.empty(size), np.empty(size + n)
+    *blocks, qbuf, wbuf = _pass_buffers(n, d)
     row_energy = np.empty(n - 1)
     plus, minus = np.zeros((n, d)), np.zeros((d, n))
-    for i0, i1, t, sq in pair_blocks(x):
+    for i0, i1, t, sq in pair_blocks(x, bufs=blocks):
         rows, width = sq.shape
         lower, cuts = _upper_layout(rows, width)
         q = np.add(sq, p.epsilon, out=qbuf[:sq.size].reshape(sq.shape))

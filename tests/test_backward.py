@@ -175,6 +175,17 @@ def test_workspace_gradient_is_the_row_loop_bit_for_bit(s, d):
         assert g.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n, d", [(7, 1), (37, 3), (400, 2), (501, 2)])
+def test_workspace_arrays_start_on_a_cache_line(n, d):
+    # one allocation cut into cols, t, w and q wherever malloc puts it
+    snap = random_set(n, d, seed=15)
+    work = _Workspace(snap, PotentialParams(1.0, 1e-3))
+    for a in (work.cols, work.t, work.w, work.sq, work.q):
+        assert a.ctypes.data % 64 == 0
+    assert work.cols.tobytes() == np.ascontiguousarray(snap.positions.T).tobytes()
+    assert np.all(work.w[-1] == 1e-3) and work.q.shape == (n,)
+
+
 def test_workspace_gradient_raises_at_a_snapshot_particle_at_zero_epsilon():
     snap = random_set(10, 3, seed=9)
     p = PotentialParams(1.0, 0.0)

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
+import threading
 import warnings
 from pathlib import Path
 
@@ -441,6 +443,91 @@ def test_forward_pass_bytes_do_not_depend_on_the_blas_thread_count(block_pairs):
                               check=True).stdout.strip()
                for n in ("1", "2")}
     assert len(digests) == 1 and len(digests.pop()) == 64
+
+
+# ---------------------------------------------------------------- pass arena
+
+def test_warm_passes_fault_in_no_pages():
+    # a fresh process, as the test runner's heap hides malloc's mapping and
+    # unmapping of per-pass buffers (160 minor faults per pass at n = 400)
+    code = textwrap.dedent("""
+        import resource
+        from efs import PotentialParams, forward_gradient, gaussian_mixture
+        ps = gaussian_mixture(400, seed=1).points
+        p = PotentialParams(1.0, 1e-3)
+        first = forward_gradient(ps, p).tobytes()
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            same = forward_gradient(ps, p).tobytes() == first
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, same)
+        """)
+    src = str(Path(efs.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    passes = [line.split() for line in out.splitlines()]
+    assert len(passes) == 5
+    assert all(int(faults) <= 10 and same == "True" for faults, same in passes), passes
+
+
+@pytest.mark.parametrize("n, d", [(7, 1), (33, 3), (301, 2)])
+def test_every_buffer_of_a_pass_starts_on_a_cache_line(monkeypatch, n, d):
+    seen = []
+    blocks, rep = forward.pair_blocks, forward.repulsion
+
+    def spy_blocks(*args, **kwargs):
+        for i0, i1, t, sq in blocks(*args, **kwargs):
+            seen.extend([*t, sq])
+            yield i0, i1, t, sq
+
+    def spy_rep(q, s, out):
+        seen.extend([q, out])
+        return rep(q, s, out=out)
+
+    monkeypatch.setattr(forward, "pair_blocks", spy_blocks)
+    monkeypatch.setattr(forward, "repulsion", spy_rep)
+    forward_gradient(random_set(n, d, seed=5), S1)
+    arena = forward._pass_buffers(n, d)
+    assert len(arena) == d + 4
+    seen.extend(arena)
+    assert all(a.ctypes.data % 64 == 0 for a in seen)
+
+
+def test_a_pass_between_two_passes_on_one_set_leaves_its_bytes():
+    p = PotentialParams(1.0, 1e-3)
+    a, b = random_set(301, 2, seed=6), random_set(301, 2, seed=7, scale=3.0)
+    forces, energy = forward_gradient(a, p).tobytes(), interaction_energy(a, p)
+    # a generator without buffers of its own keeps its block across a pass
+    _i0, _i1, _t, sq = next(forward.pair_blocks(a.positions, b.positions))
+    block = sq.tobytes()
+    forward_gradient(b, p)
+    assert sq.tobytes() == block
+    again = ParticleSet(a.positions)
+    assert forward_gradient(again, p).tobytes() == forces
+    assert np.float64(interaction_energy(again, p)).tobytes() == np.float64(energy).tobytes()
+
+
+def test_threads_running_passes_at_once_get_their_own_arenas_and_the_serial_bytes():
+    p = PotentialParams(1.0, 1e-3)
+    sets = [random_set(400, 2, seed=seed) for seed in (8, 9)]
+    serial = [forward_gradient(ParticleSet(ps.positions), p).tobytes() for ps in sets]
+    start, done = threading.Barrier(2), threading.Barrier(2)
+    results, arenas = {}, {}
+
+    def passes(i):
+        start.wait()
+        results[i] = [forward_gradient(ParticleSet(sets[i].positions), p).tobytes()
+                      for _ in range(20)]
+        arenas[i] = forward._pass_buffers(400, 2)[0].ctypes.data
+        done.wait()  # both arenas are alive when their addresses are taken
+
+    threads = [threading.Thread(target=passes, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == {0: [serial[0]] * 20, 1: [serial[1]] * 20}
+    main = forward._pass_buffers(400, 2)[0].ctypes.data
+    assert len({arenas[0], arenas[1], main}) == 3
 
 
 # ---------------------------------------------------------------- energy cache
