@@ -32,11 +32,13 @@ H and its gradient evaluate the point against the snapshot the same way:
 :func:`_fill` writes the differences ``v - x_i``, their squares and
 ``q = ||v - x_i||^2 + eps`` into the buffers of one :class:`_Workspace` and
 passes ``q`` to :func:`efs.potential.check_separation`, so a zero separation
-raises.  :func:`invert_step` builds its workspace once per call, so its inner
-loop allocates no (d, n) block.  H, :func:`invert_step` and
-:func:`augmented_forward_map` take their points through one check
-(:func:`_point`), so a point that is not a finite vector of the snapshot's
-dimension raises the same :class:`ValueError` at each of them.
+raises.  Each thread keeps one workspace (:func:`_workspace`), built again
+only when the snapshot's shape changes; every inversion, H and a gradient
+called without one reload it with their snapshot's positions and eps, so
+neither an inversion nor its inner loop allocates a (d, n) block.  H,
+:func:`invert_step` and :func:`augmented_forward_map` take their points
+through one check (:func:`_point`), so a point that is not a finite vector of
+the snapshot's dimension raises the same :class:`ValueError` at each of them.
 
 :func:`run_backward` takes a memo dict that :func:`efs.pipeline.invert_batch`
 shares across a batch, so a (step, start) that two samples reach is inverted
@@ -49,6 +51,7 @@ import logging
 import math
 import numbers
 import operator
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +68,9 @@ SNAPSHOT_MODES = ("paper", "exact")
 # Slack of the inner-step descent test and the bound on halvings per iteration.
 DESCENT_C = 1e-4
 MAX_HALVINGS = 30
+
+# This thread's workspace (see _workspace).
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -118,29 +124,52 @@ class _Workspace:
 
     The buffers are one :func:`efs.potential.aligned_empty` allocation, each
     starting on a 64-byte boundary wherever malloc puts it.  ``cols`` is a
-    contiguous (d, n) copy of the snapshot's positions, ``t``
-    takes the differences v - x_i, the first d rows of ``w`` (the stored view
-    ``sq``) their squares and its last row holds eps, and ``q`` takes the sum
-    of ``w``'s rows, then, in the gradient, its coefficients; ``n`` is the
-    particle count.  ``rows`` pairs each coordinate's column of ``cols`` with
-    its row of ``t``, so the fill subtracts one float per coordinate from a
-    column instead of broadcasting a (d, 1) array.  H builds one per value;
-    the gradients of one inversion share one, built once per
-    :func:`invert_step` call, so its inner loop allocates no (d, n) block; for
-    s > 0 the power ``q^(s/2)`` still takes one length-n temporary
-    (:func:`efs.potential.gradient_coef`).
+    contiguous (d, n) copy of the snapshot's positions, ``t`` takes the
+    differences v - x_i, the first d rows of ``w`` (the stored view ``sq``)
+    their squares and its last row holds eps, and ``q`` takes the sum of
+    ``w``'s rows, then, in the gradient, its coefficients; ``shape`` is the
+    snapshot's (n, d).  ``rows`` pairs each coordinate's column of ``cols``
+    with its row of ``t``, so the fill subtracts one float per coordinate
+    from a column instead of broadcasting a (d, 1) array; ``head`` and the
+    tuple ``tail`` are ``w``'s rows, which the fill adds in order.
+    ``_Workspace(snap, p)`` builds a standalone workspace, and :meth:`load`
+    points it at another snapshot of its shape; :func:`_workspace` keeps one
+    per thread.  For s > 0 the power ``q^(s/2)`` still takes one length-n
+    temporary (:func:`efs.potential.gradient_coef`).
     """
 
-    __slots__ = ("cols", "t", "w", "sq", "q", "n", "rows")
+    __slots__ = ("cols", "t", "w", "sq", "q", "n", "shape", "rows", "head", "tail")
 
     def __init__(self, snap: ParticleSet, p: PotentialParams):
-        n, d = snap.positions.shape
+        self.shape = n, d = snap.positions.shape
         self.n = n
         self.cols, self.t, self.w, self.q = aligned_empty((d, n), (d, n), (d + 1, n), (n,))
-        np.copyto(self.cols, snap.positions.T)
-        self.w[-1] = p.epsilon
         self.sq = self.w[:-1]
         self.rows = tuple(zip(self.cols, self.t))
+        self.head, *tail = self.w
+        self.tail = tuple(tail)
+        self.load(snap, p)
+
+    def load(self, snap: ParticleSet, p: PotentialParams):
+        """Copy in ``snap``'s positions and ``p``'s eps; ``snap`` has this shape."""
+        np.copyto(self.cols, snap.positions.T)
+        self.tail[-1].fill(p.epsilon)
+
+
+def _workspace(snap: ParticleSet, p: PotentialParams) -> _Workspace:
+    """This thread's workspace, loaded with ``snap`` and ``p``.
+
+    It is built when the thread has none or one of another shape and is
+    reloaded otherwise, so each call's evaluations see only this snapshot,
+    and two threads never share one.  Reloading is safe because every user
+    in this module finishes its evaluations before it returns.
+    """
+    work = getattr(_local, "work", None)
+    if work is None or work.shape != snap.positions.shape:
+        _local.work = work = _Workspace(snap, p)
+    else:
+        work.load(snap, p)
+    return work
 
 
 def _fill(v, work: _Workspace, p: PotentialParams) -> np.ndarray:
@@ -149,14 +178,16 @@ def _fill(v, work: _Workspace, p: PotentialParams) -> np.ndarray:
     ``v`` is d floats, a list or a 1-d array; a point of another length
     raises :class:`ValueError` (a strict ``zip`` over the coordinates).  Each
     coordinate's differences go to its row of ``work.t``, their squares to
-    ``work.sq``, and one axis-0 reduction of ``work.w`` adds the rows in
-    order, so ``q = ((t_0^2 + t_1^2) + ...) + eps``.  ``q`` is ``work.q``,
-    checked by :func:`efs.potential.check_separation`.
+    ``work.sq``, and the rows of ``work.w`` are added in order into
+    ``work.q``, so ``q = ((t_0^2 + t_1^2) + ...) + eps``.  ``q`` is
+    ``work.q``, checked by :func:`efs.potential.check_separation`.
     """
     for vk, (col, tk) in zip(v, work.rows, strict=True):
         np.subtract(vk, col, out=tk)
     np.square(work.t, out=work.sq)
-    q = np.add.reduce(work.w, axis=0, out=work.q)
+    q = work.head
+    for row in work.tail:
+        q = np.add(q, row, out=work.q)
     check_separation(q, p.epsilon)
     return q
 
@@ -168,14 +199,14 @@ def mean_field_gradient(v, snap: ParticleSet, p: PotentialParams,
     ``v`` is the point as d floats, a list (the inner loop's) or a 1-d array;
     a point of another length raises :class:`ValueError` (see :func:`_fill`),
     and a non-finite one gives a non-finite gradient.  The coefficients
-    overwrite the filled ``q``, and one (d, n) @ (n,) product reduces them.
-    ``work`` must be built for ``snap`` and ``p``; without it one is built for
-    this call.  The result is a new array.
+    overwrite the filled ``q``, and one (d, n) by (n,) product reduces them.
+    ``work`` must be loaded with ``snap`` and ``p``; without it this thread's
+    workspace is (:func:`_workspace`).  The result is a new array.
     """
     if work is None:
-        work = _Workspace(snap, p)
+        work = _workspace(snap, p)
     q = _fill(v, work, p)
-    g = work.t @ gradient_coef(q, p.s, out=q)
+    g = np.dot(work.t, gradient_coef(q, p.s, out=q))
     g /= work.n
     return g
 
@@ -214,7 +245,7 @@ def prox_objective(v, anchor, snap: ParticleSet, cfg: BackwardConfig,
     as a start of :func:`invert_step` must (the same :class:`ValueError`).
     """
     v, anchor = _point(v, snap), _point(anchor, snap)
-    work = _Workspace(snap, p)
+    work = _workspace(snap, p)
     q = _fill(v, work, p)
     mean_w = float(pair_value(np.add.reduce(work.sq, axis=0), q, p.s).sum()) / snap.n
     dv = np.subtract(v, anchor)
@@ -288,18 +319,19 @@ def invert_step(y_j, snap: ParticleSet, cfg: BackwardConfig, p: PotentialParams,
     anchor = _point(y_j, snap)
     if _warn:
         _warn_convexity_guard(cfg.gamma, p)
-    work = _Workspace(snap, p)
+    work = _workspace(snap, p)
+    beta, T, grad_tol = cfg.beta, cfg.T, cfg.grad_tol
     v = anchor
     g = _prox_gradient(v, anchor, snap, cfg, p, work)
     gg = _dot(g, g)
-    for t in range(cfg.T + 1):
+    for t in range(T + 1):
         res = math.sqrt(gg)
         if not math.isfinite(res):
             raise InstabilityError(
                 f"inner iterates diverged (beta={cfg.beta}); reduce the step size")
-        if res <= cfg.grad_tol or t == cfg.T:
+        if res <= grad_tol or t == T:
             return np.array(v), res
-        step = cfg.beta
+        step = beta
         for _h in range(MAX_HALVINGS + 1):
             cand = [vk - step * gk for vk, gk in zip(v, g)]
             g_cand = _prox_gradient(cand, anchor, snap, cfg, p, work)

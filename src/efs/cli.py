@@ -12,8 +12,9 @@ csvs and a replay's seed column go through :mod:`efs.persist`, which also
 owns the rule that a ``.csv`` or ``.efsb`` extension names the format, and
 the picture through :mod:`efs.svg`.  The options that need no data (such as
 ``efs forward --gamma``, ``--k``, ``--epsilon`` and a numeric ``--s``,
-``--beta``, ``--T``, ``--m``, ``--indices``, the format of ``--out``,
-``--i``/``--j`` being distinct and >= 0, the dropped-option rules) exit 2
+``--beta``, ``--T``, ``--m``, ``--indices``, the format of ``--out`` and of
+``efs sample --svg``, ``--i``/``--j`` being distinct and >= 0, the
+dropped-option rules) exit 2
 before any file is read, so a missing file cannot mask them; only
 ``--s d-2`` and ``--i``/``--j`` below n wait for the data.  A ``--config``
 file's keys are the long option names with ``_`` for ``-``
@@ -162,6 +163,9 @@ def cmd_sample(args) -> int:
         if args.i == args.j:
             raise ValueError(f"--i/--j must be distinct, got {args.i} and {args.j}")
     _check_out(args, "csv")
+    # a .svg path can never be the .csv --out
+    if args.svg is not None and not args.svg.endswith(".svg"):
+        raise ValueError(f"--svg must be a .svg file, got {args.svg!r}")
     # checked before the trajectory is read; the inversions use its own gamma
     bwd = BackwardConfig(gamma=0.0, beta=args.beta, T=args.T)
     traj, labels = persist.read_trajectory(args.traj)
@@ -180,7 +184,7 @@ def cmd_sample(args) -> int:
             traj, bwd, m, mode=pipeline_mode, seed=0 if args.seed is None else args.seed,
             snapshot_mode=args.snapshot_mode, seeds=seeds, keep_paths=False)
     persist.write_csv(args.out, batch.generated, seeds=batch.seeds)
-    if args.svg:
+    if args.svg is not None:
         first = traj.snapshots[0]
         svg.write_scatter_svg(args.svg, first.positions, labels=labels,
                               stars=batch.generated)

@@ -65,8 +65,9 @@ def gaussian_mixture(n: int, means=None, stds=None, weights=None,
         raise ValueError("means, stds and weights must have equal length")
     if not np.all(np.isfinite(stds) & (stds >= 0)):
         raise ValueError(f"stds must be finite and >= 0, got {stds.tolist()}")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
+    # NaN fails both comparisons, so finiteness is checked first
+    if not np.all(np.isfinite(weights) & (weights >= 0)) or abs(weights.sum() - 1.0) > 1e-9:
+        raise ValueError(f"weights must be finite, >= 0 and sum to 1, got {weights.tolist()}")
     rng = SplitMix64(seed)
     u = rng.uniforms(n)
     cum = np.cumsum(weights)

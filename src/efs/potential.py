@@ -77,17 +77,19 @@ def _check_vector(z) -> np.ndarray:
 def shared_power(q, s: float, out=None):
     """``u = q^(s/2)``, the power W's repulsion and ∇W's coefficient take.
 
-    ``None`` for s = 0, where neither takes a power.  With ``out``, the result
-    is written there: a square root at s = 1, the path ``**`` takes there, and
-    otherwise an in-place ``**=``, which takes the fast paths ``**`` takes, so
-    both forms give the same bits; ``out`` may be ``q``.
+    ``None`` for s = 0, where neither takes a power.  A square root at s = 1,
+    the path an array's ``**`` takes there, called without ``**``'s dispatch;
+    for a scalar it is the correctly rounded root, which a float's ``** 0.5``
+    (C ``pow``) misses by one ulp for about 1 input in 1200.  Otherwise ``**``, or with ``out`` an in-place ``**=``, which takes the
+    fast paths ``**`` takes, so both forms give the same bits.  With ``out``,
+    the result is written there; ``out`` may be ``q``.
     """
     if s == 0:
         return None
-    if out is None:
-        return q ** (s / 2.0)
     if s == 1:
         return np.sqrt(q, out=out)
+    if out is None:
+        return q ** (s / 2.0)
     if out is not q:
         np.copyto(out, q)
     out **= s / 2.0

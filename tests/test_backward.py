@@ -1,5 +1,6 @@
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from efs import (
     augmented_forward_map,
     forward_gradient,
     gaussian_mixture,
+    generate_from_trajectory,
     invert_step,
     potential_gradient,
     potential_value,
@@ -22,6 +24,7 @@ from efs import (
     run_forward,
     swiss_roll,
 )
+from efs import backward
 from efs.backward import (DESCENT_C, MAX_HALVINGS, _prox_gradient, _Workspace,
                           mean_field_gradient)
 from efs.forward import pair_blocks
@@ -557,3 +560,114 @@ def test_exact_mode_averages_over_all_n_particles(ps, p):
     backward = np.array([n * mean_field_gradient(x, ps, p) for x in ps.positions])
     rel = np.linalg.norm(backward - forward, axis=1) / np.linalg.norm(forward, axis=1)
     assert rel.max() <= 1e-13
+
+
+# ---------------------------------------------------------------- per-thread workspace
+
+def test_a_batch_builds_one_workspace_per_thread_and_shape(monkeypatch):
+    # the inversions of a batch reload one workspace instead of allocating one each
+    monkeypatch.setattr(backward, "_local", threading.local())
+    builds = []
+    aligned_empty = backward.aligned_empty
+
+    def counted(*shapes):
+        builds.append(shapes)
+        return aligned_empty(*shapes)
+
+    monkeypatch.setattr(backward, "aligned_empty", counted)
+    traj = run_forward(random_set(60, 2, seed=21, scale=2.0), 0.05, 4, PotentialParams(1.0, 1e-3))
+    bwd = BackwardConfig(gamma=0.05, beta=0.1, T=50)
+    batch = generate_from_trajectory(traj, bwd, 6, seed=3, keep_paths=False)
+    assert batch.generated.shape == (6, 2)
+    assert builds == [((2, 60), (2, 60), (3, 60), (60,))]
+    # a second batch of that shape in this thread builds none
+    generate_from_trajectory(traj, bwd, 2, seed=4, keep_paths=False)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5])
+def test_interleaved_snapshots_epsilons_and_shapes_give_the_row_loop_bytes(s, monkeypatch):
+    # every call reloads this thread's workspace, so no snapshot's columns or
+    # eps carry over into the next call, whatever its shape
+    monkeypatch.setattr(backward, "_local", threading.local())
+    a, b, c = random_set(37, 2, seed=31), random_set(37, 2, seed=32), random_set(23, 2, seed=33)
+    pa, pb = PotentialParams(s, 1e-3), PotentialParams(s, 3e-2)
+    cfg = BackwardConfig(gamma=0.05, beta=0.1, T=10)
+    rng = SplitMix64(34)
+    for snap, p in [(a, pa), (b, pb), (a, pb), (b, pa), (c, pa), (a, pa), (c, pb), (b, pb)]:
+        v, anchor = rng.normals(2), rng.normals(2)
+        want = _row_loop_gradient(v, snap.positions, p)
+        assert mean_field_gradient(v, snap, p).tobytes() == want.tobytes()
+        (_i0, _i1, _t, sq), = pair_blocks(v[None], snap.positions)
+        mean_w = float(pair_value(sq, sq + p.epsilon, s).sum()) / snap.n
+        dv = v - anchor
+        assert prox_objective(v, anchor, snap, cfg, p) == 0.5 * float(dv @ dv) - cfg.gamma * mean_w
+        got, _res = invert_step(anchor, snap, cfg, p, _warn=False)
+        want_v, _want_res, _h, _c = _numpy_invert_step(anchor, snap, cfg, p)
+        assert got.tobytes() == want_v.tobytes()
+
+
+def test_threads_inverting_at_once_get_their_own_workspaces_and_the_serial_bytes():
+    p = PotentialParams(1.0, 1e-3)
+    cfg = BackwardConfig(gamma=0.05, beta=0.1, T=200)
+    snaps = [random_set(400, 2, seed=seed, scale=2.0) for seed in (41, 42)]
+    starts = list(SplitMix64(43).normals(8).reshape(4, 2) * 3.0)
+
+    def inversions(snap):
+        return [invert_step(y, snap, cfg, p, _warn=False)[0].tobytes() for y in starts]
+
+    serial = [inversions(snap) for snap in snaps]
+    # a thread that fails breaks the barriers instead of leaving the other waiting
+    start, done = threading.Barrier(2, timeout=30), threading.Barrier(2, timeout=30)
+    results, workspaces = {}, {}
+
+    def run(i):
+        start.wait()
+        results[i] = [inversions(snaps[i]) for _ in range(5)]
+        workspaces[i] = backward._local.work.cols.ctypes.data
+        done.wait()  # both workspaces are alive when their addresses are taken
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == {0: [serial[0]] * 5, 1: [serial[1]] * 5}
+    main = backward._local.work.cols.ctypes.data
+    assert len({workspaces[0], workspaces[1], main}) == 3
+
+
+@pytest.mark.parametrize("d, s, case", [(1, 0.0, "grid"), (2, 1.0, "grid"), (3, 2.5, "grid"),
+                                        (2, 1.0, "halved"), (2, 1.0, "capped")])
+def test_invert_step_evaluates_each_gradient_through_the_module_function(d, s, case,
+                                                                         monkeypatch):
+    # a counter wrapped around efs.backward.mean_field_gradient by name, as the
+    # benchmark's tracer wraps it, sees every gradient the numpy loop takes:
+    # 1 + iterations + halvings
+    snap = random_set(25, d, seed=0, scale=2.0)
+    p = PotentialParams(s, 1e-3)
+    cfg = BackwardConfig(gamma=0.01, beta=0.3, T=5 if case == "capped" else 500)
+    if case == "halved":
+        starts = [augmented_forward_map(x, snap, cfg.gamma, p) for x in snap.positions[:5]]
+    else:
+        starts = list(SplitMix64(d).normals(3 * d).reshape(3, d) * 2.0)
+    seen, want = [], []
+
+    def counting(calls, gradient=mean_field_gradient):
+        def wrapped(*args, **kwargs):
+            calls.append(None)
+            return gradient(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(backward, "mean_field_gradient", counting(seen))
+    monkeypatch.setitem(globals(), "mean_field_gradient", counting(want))
+    halved = False
+    for y in starts:
+        seen.clear()
+        want.clear()
+        _v, _res, halvings, _capped = _numpy_invert_step(y, snap, cfg, p)
+        halved = halved or halvings > 0
+        invert_step(y, snap, cfg, p, _warn=False)
+        assert len(want) > halvings
+        assert len(seen) == len(want)
+    assert halved == (case == "halved")

@@ -673,6 +673,29 @@ def test_sample_svg_one_dimensional(tmp_path, capsys):
     assert body.count("<polygon") == 2
 
 
+
+@pytest.mark.parametrize("pic", ["s.csv", "s.png", "s", ""])
+def test_sample_svg_must_be_a_svg_file_before_any_file_is_read(capsys, monkeypatch, pic):
+    # a .svg path cannot be the .csv --out, which it would otherwise overwrite
+    def read(path):
+        raise AssertionError(f"{path} was read before the options were checked")
+
+    monkeypatch.setattr(efs.persist, "read_efsb", read)
+    assert main(["sample", "--traj", "missing.efsb", "--beta", "0.1", "--T", "5",
+                 "--out", "s.csv", "--svg", pic]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --svg must be a .svg file, got {pic!r}" in captured.err
+
+
+def test_sample_svg_named_as_the_out_file_leaves_it_unwritten(tmp_path, capsys, trajectory_file):
+    out = tmp_path / "b.csv"
+    code, _ = run(capsys, "sample", "--traj", str(trajectory_file), "--m", "2",
+                  "--beta", "0.1", "--T", "50", "--out", str(out), "--svg", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- metrics
 
 def test_metrics_uniformity_snapshots(capsys, mixture_file, trajectory_file):

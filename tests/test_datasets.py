@@ -60,6 +60,16 @@ def test_mixture_validation():
         gaussian_mixture(10, means=[(0, 0), (1, 1)], stds=[1.0], weights=[0.5, 0.5])
 
 
+
+@pytest.mark.parametrize("weights", [[0.5, float("nan"), 0.25, 0.25],
+                                     [float("nan")] * 4,
+                                     [0.5, float("inf"), -float("inf"), 0.5]])
+def test_mixture_rejects_non_finite_weights(weights):
+    # NaN fails both the sign and the sum comparison
+    with pytest.raises(ValueError, match=r"^weights must be finite, >= 0 and sum to 1, got \["):
+        gaussian_mixture(1000, weights=weights)
+
+
 # ---------------------------------------------------------------- swiss roll
 
 def test_swiss_noiseless_norm_is_theta_over_three():
